@@ -26,13 +26,7 @@ open Exp_common
 module Schedule = Legion_chaos.Schedule
 module Explorer = Legion_chaos.Explorer
 
-let seed =
-  match Sys.getenv_opt "LEGION_TRACE_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 61L
-
-let env_int name default =
-  match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
+let seed = env_i64 "LEGION_TRACE_SEED" 61L
 
 let n_schedules = env_int "E22_SCHEDULES" 200
 let rounds = env_int "E22_ROUNDS" 16

@@ -20,38 +20,11 @@ module Api = Legion.Api
 
 let counter_unit = "bench.counter"
 
-let counter_factory (_ctx : Runtime.ctx) : Impl.part =
-  let n = ref 0 in
-  let increment _ctx args _env k =
-    match args with
-    | [ Value.Int d ] ->
-        n := !n + d;
-        k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Increment expects one int"
-  in
-  let get _ctx args _env k =
-    match args with
-    | [] -> k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Get takes no arguments"
-  in
-  Impl.part
-    ~methods:[ ("Increment", increment); ("Get", get) ]
-    ~save:(fun () -> Value.Int !n)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int i ->
-          n := i;
-          Ok ()
-      | _ -> Error "counter state must be an int")
-    counter_unit
+let register_units () =
+  Impl.register counter_unit (Legion.Fixture.counter counter_unit)
 
-let register_units () = Impl.register counter_unit counter_factory
-
-let counter_idl = "interface Counter { Increment(d: int): int; Get(): int; }"
-
-let make_counter_class sys ctx ?(name = "Counter") () =
-  Api.derive_class_exn sys ctx ~parent:Well_known.legion_object ~name
-    ~units:[ counter_unit ] ~idl:counter_idl ()
+let make_counter_class sys ctx ?name () =
+  Legion.Fixture.counter_class ?name sys ctx counter_unit
 
 (* --- Counter-registry snapshots: the §5 instrument. --- *)
 
@@ -120,6 +93,29 @@ let write_bench_json ~file json =
       output_string oc json;
       output_char oc '\n');
   Printf.printf "wrote %s\n" file
+
+(* --- Environment knobs: an unset or unparsable variable keeps the
+   default. --- *)
+
+let env parse name default =
+  match Option.bind (Sys.getenv_opt name) parse with
+  | Some v -> v
+  | None -> default
+
+let env_int = env int_of_string_opt
+let env_float = env float_of_string_opt
+let env_i64 = env Int64.of_string_opt
+
+(* --- Gates: every false gate is reported, then the harness fails. --- *)
+
+let enforce ~experiment gates =
+  match List.filter (fun (_, ok) -> not ok) gates with
+  | [] -> ()
+  | failed ->
+      List.iter
+        (fun (name, _) -> Printf.eprintf "%s gate failed: %s\n" experiment name)
+        failed;
+      exit 1
 
 (* --- Timing one synchronous call in virtual time. --- *)
 

@@ -17,23 +17,6 @@
 open Exp_common
 module Elastic = Legion.Elastic
 
-let env_i64 name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match Int64.of_string_opt s with Some v -> v | None -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
-
 let row (r : Elastic.report) =
   [
     (if r.Elastic.elastic then "elastic" else "baseline");

@@ -18,17 +18,6 @@
 open Exp_common
 module Planet = Legion.Planet
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
-
 let config () =
   let base =
     match Sys.getenv_opt "E18_PROFILE" with

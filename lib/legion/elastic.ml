@@ -283,31 +283,7 @@ let enable t ctx ~classes ~until ?(cfg = default_config) () =
 let work_unit = "legion.elastic.work"
 let work_idl = "interface ElasticWorker { Work(d: float): int; }"
 
-let work_factory (_ctx : Runtime.ctx) : Impl.part =
-  let served = ref 0 in
-  let work wctx args _env k =
-    match args with
-    | [ Value.Float d ] when d >= 0.0 ->
-        incr served;
-        let eng = Runtime.sim wctx.Runtime.rt in
-        let n = !served in
-        ignore
-          (Engine.schedule_at eng ~time:(Engine.now eng +. d) (fun () ->
-               k (Ok (Value.Int n))))
-    | _ -> Impl.bad_args k "Work expects one non-negative float"
-  in
-  Impl.part
-    ~methods:[ ("Work", work) ]
-    ~save:(fun () -> Value.Int !served)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int n ->
-          served := n;
-          Ok ()
-      | _ -> Error "work state must be an int")
-    work_unit
-
-let register_units () = Impl.register work_unit work_factory
+let register_units () = Impl.register work_unit (Fixture.worker work_unit)
 
 type report = {
   elastic : bool;

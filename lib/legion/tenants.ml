@@ -32,31 +32,7 @@ module Prng = Legion_util.Prng
 let work_unit = "legion.tenants.work"
 let work_idl = "interface TenantWorker { Work(d: float): int; }"
 
-let work_factory (_ctx : Runtime.ctx) : Impl.part =
-  let served = ref 0 in
-  let work wctx args _env k =
-    match args with
-    | [ Value.Float d ] when d >= 0.0 ->
-        incr served;
-        let eng = Runtime.sim wctx.Runtime.rt in
-        let n = !served in
-        ignore
-          (Engine.schedule_at eng ~time:(Engine.now eng +. d) (fun () ->
-               k (Ok (Value.Int n))))
-    | _ -> Impl.bad_args k "Work expects one non-negative float"
-  in
-  Impl.part
-    ~methods:[ ("Work", work) ]
-    ~save:(fun () -> Value.Int !served)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int n ->
-          served := n;
-          Ok ()
-      | _ -> Error "work state must be an int")
-    work_unit
-
-let register_units () = Impl.register work_unit work_factory
+let register_units () = Impl.register work_unit (Fixture.worker work_unit)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario shape.                                                     *)
@@ -71,7 +47,7 @@ type lane = {
   p99_ms : float;
 }
 
-type report = {
+type arm = {
   noisy : bool;
   seed : int64;
   lanes : lane list;  (** alpha, beta, gamma, mallory — fixed order. *)
@@ -299,4 +275,112 @@ let scenario_json r =
     r.shed_events r.shed_by_offender r.shed_unattributed r.deny_events
     r.deny_by_eve r.eve_probes r.eve_denied r.eve_bindings
 
-let find_lane r name = List.find_opt (fun l -> String.equal l.tenant name) r.lanes
+let find_lane (r : arm) name =
+  List.find_opt (fun l -> String.equal l.tenant name) r.lanes
+
+(* ------------------------------------------------------------------ *)
+(* The E21 experiment: both arms under one seed, and its gates.        *)
+
+type config = { seed : int64; baseline : bool }
+
+let default = { seed = 42L; baseline = false }
+
+type report = {
+  cfg : config;
+  quiet_arm : arm;
+  noisy_arm : arm option;
+  deterministic : bool;
+}
+
+let max_p99_shift_ms = 25.0
+let max_errors = 0
+
+let run (cfg : config) =
+  let seed = cfg.seed in
+  let quiet_arm = run_scenario ~seed ~noisy:false () in
+  if cfg.baseline then
+    { cfg; quiet_arm; noisy_arm = None; deterministic = true }
+  else
+    let noisy = run_scenario ~seed ~noisy:true () in
+    let noisy' = run_scenario ~seed ~noisy:true () in
+    {
+      cfg;
+      quiet_arm;
+      noisy_arm = Some noisy;
+      deterministic = String.equal (scenario_json noisy) (scenario_json noisy');
+    }
+
+(* Each well-behaved tenant's |noisy - quiet| p99 ([nan] if a lane is
+   missing). *)
+let p99_shifts quiet noisy =
+  let p99 r name =
+    match find_lane r name with Some l -> l.p99_ms | None -> nan
+  in
+  List.map
+    (fun name -> (name, Float.abs (p99 noisy name -. p99 quiet name)))
+    well_behaved
+
+let worst_p99_shift quiet noisy =
+  List.fold_left (fun a (_, s) -> Float.max a s) 0.0 (p99_shifts quiet noisy)
+
+let to_json r =
+  match r.noisy_arm with
+  | None -> scenario_json r.quiet_arm
+  | Some noisy ->
+      Printf.sprintf
+        "{\"seed\": %Ld, \"quiet\": %s, \"noisy\": %s, \
+         \"worst_p99_shift_ms\": %.4f, \"deterministic\": %b, \"gates\": \
+         {\"max_p99_shift_ms\": %.1f, \"max_errors\": %d}}"
+        r.cfg.seed
+        (scenario_json r.quiet_arm)
+        (scenario_json noisy)
+        (worst_p99_shift r.quiet_arm noisy)
+        r.deterministic max_p99_shift_ms max_errors
+
+let arm_gates (a : arm) =
+  let tag = if a.noisy then "noisy" else "quiet" in
+  let gate fmt = Printf.ksprintf (fun name ok -> (tag ^ " run: " ^ name, ok)) fmt in
+  [
+    gate "eve probed %d times" a.eve_probes (a.eve_probes >= 1);
+    gate "%d of %d eve probes answered Denied" a.eve_denied a.eve_probes
+      (a.eve_denied = a.eve_probes);
+    gate "eve resolved a binding %d times" a.eve_bindings (a.eve_bindings = 0);
+    gate "%d Deny events attributed to eve for %d probes" a.deny_by_eve
+      a.eve_probes
+      (a.deny_by_eve >= a.eve_probes);
+  ]
+  @ List.concat_map
+      (fun name ->
+        match find_lane a name with
+        | None -> [ gate "lane %s missing" name false ]
+        | Some l ->
+            [
+              gate "well-behaved %s saw %d quota sheds" name l.quota_shed
+                (l.quota_shed = 0);
+              gate "%s saw %d errors (budget %d)" name l.errors max_errors
+                (l.errors <= max_errors);
+            ])
+      well_behaved
+
+let gates r =
+  match r.noisy_arm with
+  | None -> []
+  | Some noisy ->
+      let gate fmt = Printf.ksprintf (fun name ok -> (name, ok)) fmt in
+      (gate "noisy report byte-deterministic for seed %Ld" r.cfg.seed
+         r.deterministic
+      :: List.map
+           (fun (name, s) ->
+             gate "%s p99 moved %.2f ms under the noisy neighbor (ceiling %.1f)"
+               name s max_p99_shift_ms (s <= max_p99_shift_ms))
+           (p99_shifts r.quiet_arm noisy))
+      @ [
+          gate "noisy run shed the offender %d times" noisy.shed_events
+            (noisy.shed_events >= 1);
+          gate "%d of %d sheds attributed to the offender"
+            noisy.shed_by_offender noisy.shed_events
+            (noisy.shed_by_offender = noisy.shed_events);
+          gate "%d sheds carried no tenant tag" noisy.shed_unattributed
+            (noisy.shed_unattributed = 0);
+        ]
+      @ arm_gates r.quiet_arm @ arm_gates noisy

@@ -6,12 +6,12 @@
     objects queue per tenant under deficit round robin, and the class
     machinery judges its binding policy before handing out bindings.
 
-    {!run_scenario} is the deterministic experiment the E21 bench, the
+    {!run} is the deterministic experiment the E21 bench, the
     [legion-sim tenants] subcommand and the regression tests share:
     four registered tenants drive a pool of budgeted workers; in the
     {e noisy} arm one of them ([mallory]) is driven at 10x its token
     budget, and in both arms an unauthorized principal ([eve]) probes
-    from the other site. The gates: the offender must not move the
+    from the other site. The {!gates}: the offender must not move the
     well-behaved tenants' p99 (vs the quiet arm, same seed) by more
     than the documented bound, every [Shed] must be attributed to the
     offender, and eve must be answered [Err.Denied] at [GetBinding] —
@@ -29,7 +29,7 @@ type lane = {
   p99_ms : float;
 }
 
-type report = {
+type arm = {
   noisy : bool;
   seed : int64;
   lanes : lane list;  (** alpha, beta, gamma, mallory — fixed order. *)
@@ -49,8 +49,8 @@ val offender : string
 val well_behaved : string list
 (** [["alpha"; "beta"; "gamma"]]. *)
 
-val run_scenario : ?seed:int64 -> noisy:bool -> unit -> report
-(** Run the scenario: two sites of three hosts, two budgeted workers
+val run_scenario : ?seed:int64 -> noisy:bool -> unit -> arm
+(** Run one arm: two sites of three hosts, two budgeted workers
     (one inflight slot, 8 ms service) in the east Jurisdiction; alpha,
     beta and gamma each drive 20 Poisson arrivals/s for 30 virtual
     seconds under ample budgets; mallory holds a 25 calls/s token
@@ -59,10 +59,52 @@ val run_scenario : ?seed:int64 -> noisy:bool -> unit -> report
     policy ([Allow_responsible]) excludes her. Fully deterministic:
     the same [seed] yields a byte-identical {!scenario_json}. *)
 
-val scenario_json : report -> string
-(** One-line JSON rendering of a report (no trailing newline). *)
+val scenario_json : arm -> string
+(** One-line JSON rendering of an arm (no trailing newline). *)
 
-val find_lane : report -> string -> lane option
+val find_lane : arm -> string -> lane option
+
+(** {1 The E21 experiment} *)
+
+type config = {
+  seed : int64;
+  baseline : bool;  (** Run the quiet arm only, with no gates. *)
+}
+
+val default : config
+(** Seed 42, both arms: the E21 bench's configuration. *)
+
+type report = {
+  cfg : config;
+  quiet_arm : arm;
+  noisy_arm : arm option;  (** [None] for a baseline run. *)
+  deterministic : bool;
+      (** A second noisy run reproduced the first byte for byte ([true]
+          for a baseline run). *)
+}
+
+val run : config -> report
+(** The quiet arm, then (unless [baseline]) the noisy arm twice. *)
+
+val to_json : report -> string
+(** The whole E21 object, [BENCH_E21.json] byte for byte (no trailing
+    newline); for a baseline run, the quiet arm's {!scenario_json}. *)
+
+val max_p99_shift_ms : float
+(** 25.0: the ceiling on any well-behaved tenant's |noisy - quiet| p99. *)
+
+val worst_p99_shift : arm -> arm -> float
+(** [worst_p99_shift quiet noisy]: the largest well-behaved
+    |noisy - quiet| p99, in ms. *)
+
+val gates : report -> (string * bool) list
+(** Empty for a baseline run. Otherwise: the noisy report is
+    deterministic; no well-behaved p99 moves by more than
+    {!max_p99_shift_ms}; the noisy arm shed at least once, every shed
+    attributed to the offender and none untagged; in both arms every
+    eve probe is answered [Denied] and logged as a [Deny], eve never
+    resolves a binding, and the well-behaved lanes see no quota sheds
+    and no errors. *)
 
 val work_unit : string
 (** The scenario's application unit, exposed for tests. *)

@@ -410,71 +410,17 @@ let test_txn_churn () =
   Alcotest.(check bool) "dedup cache absorbed duplicates" true
     (Runtime.dedup_hits rt > 0);
   Alcotest.(check bool) "transactions resolved" true (!submitted <> []);
-  (* The E20 audit, from the store histories alone. *)
-  let store = (System.site sys 0).System.storage in
-  let marks_of id =
-    List.concat_map
-      (fun loid ->
-        List.filter_map
-          (fun (e : Persistent.History.entry) ->
-            if e.txn = Some id then Some e.mark else None)
-          (Persistent.history store ~loid))
-      (Persistent.history_loids store)
+  (* The E20 audit: atomicity from the store histories alone, no
+     orphaned prepare locks, nothing in doubt on any coordinator. *)
+  let audit =
+    Legion_txn.Audit.run
+      ~call:(fun dst meth -> Api.call sys ctx ~dst ~meth ~args:[])
+      ~submitted:!submitted ~acked:!committed_ids
+      ~participants:(Array.to_list objects)
+      ~coordinators:(Array.to_list coords)
+      (System.site sys 0).System.storage
   in
-  let all_ids =
-    List.sort_uniq String.compare
-      (!submitted
-      @ List.concat_map
-          (fun loid ->
-            List.filter_map
-              (fun (e : Persistent.History.entry) -> e.txn)
-              (Persistent.history store ~loid))
-          (Persistent.history_loids store))
-  in
-  List.iter
-    (fun id ->
-      let marks = marks_of id in
-      let staged = List.filter (fun m -> m = Persistent.Staged) marks in
-      if staged <> [] then
-        Alcotest.failf "txn %s left %d staged entries (partial commit)" id
-          (List.length staged);
-      let committed = List.exists (fun m -> m = Persistent.Committed) marks in
-      let compensated =
-        List.exists (fun m -> m = Persistent.Compensated) marks
-      in
-      if committed && compensated then
-        Alcotest.failf "txn %s has mixed marks (partial commit)" id)
-    all_ids;
-  (* A commit acknowledged to the client is never recorded rolled back. *)
-  List.iter
-    (fun id ->
-      if List.exists (fun m -> m = Persistent.Compensated) (marks_of id) then
-        Alcotest.failf "acknowledged commit %s recorded as compensated" id)
-    !committed_ids;
-  (* No orphaned prepare locks anywhere. *)
-  Array.iteri
-    (fun i o ->
-      match Api.call sys ctx ~dst:o ~meth:"TxnHeld" ~args:[] with
-      | Ok (Value.List []) -> ()
-      | Ok (Value.List [ Value.Str t ]) ->
-          Alcotest.failf "participant %d still holds a lock for %s" i t
-      | Ok v -> Alcotest.failf "TxnHeld: odd reply %s" (Value.to_string v)
-      | Error e ->
-          Alcotest.failf "participant %d unreachable: %s" i (Err.to_string e))
-    objects;
-  (* No transaction remains in doubt on any live coordinator. *)
-  Array.iteri
-    (fun i co ->
-      match Api.call sys ctx ~dst:co ~meth:"TxnStats" ~args:[] with
-      | Ok (Value.Record fields) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "coordinator %d has nothing in doubt" i)
-            true
-            (List.assoc_opt "indoubt" fields = Some (Value.Int 0))
-      | Ok v -> Alcotest.failf "TxnStats: odd reply %s" (Value.to_string v)
-      | Error e ->
-          Alcotest.failf "coordinator %d unreachable: %s" i (Err.to_string e))
-    coords
+  Alcotest.(check (list string)) "atomicity audit" [] audit.violations
 
 let () =
   Alcotest.run "soak"

@@ -3,7 +3,6 @@
 
 module Prng = Legion_util.Prng
 module Stats = Legion_util.Stats
-module Heap = Legion_util.Heap
 module Counter = Legion_util.Counter
 
 (* --- Prng --- *)
