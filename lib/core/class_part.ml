@@ -46,11 +46,7 @@ type state = {
       (* §2.4 enforced on the binding path: judges every Create and
          GetBinding before it is served, so an uncleared principal never
          receives a binding from this class *)
-  mutable table : (Loid.t * row) list;  (* Fig. 16, newest first *)
-  (* Side index over [table]: GetBinding is the system's hottest read
-     path, and the list (kept for its serialized "newest first" order)
-     must not be scanned per resolution at 10^5 instances. *)
-  mutable row_idx : row Loid.Table.t;
+  mutable rows : row Loid.Ordered.t;  (* Fig. 16, newest first *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -99,7 +95,7 @@ let state_to_value st =
       ("clones", C.vloids st.clones);
       ("crr", Value.Int st.clone_rr);
       ("bpol", Policy.to_value st.binding_policy);
-      ("table", Value.List (List.map row_to_value st.table));
+      ("table", Value.List (List.map row_to_value (Loid.Ordered.to_list st.rows)));
     ]
 
 let state_of_value st v =
@@ -156,13 +152,10 @@ let state_of_value st v =
   st.clones <- clones;
   st.clone_rr <- clone_rr;
   st.binding_policy <- binding_policy;
-  st.table <- table;
-  let idx = Loid.Table.create () in
-  List.iter (fun (l, r) -> Loid.Table.set idx l r) table;
-  st.row_idx <- idx;
+  st.rows <- Loid.Ordered.of_list table;
   Ok ()
 
-let init_state ?interface ?(instance_units = [ Well_known.unit_object ])
+let new_state ?interface ?(instance_units = [ Well_known.unit_object ])
     ?(instance_kind = Well_known.kind_app) ?instance_cache_capacity ?superclass
     ?(flags = default_flags) ?(default_magistrates = []) ?default_scheduler
     ?(binding_policy = Policy.Allow_all) ~class_id () =
@@ -171,41 +164,37 @@ let init_state ?interface ?(instance_units = [ Well_known.unit_object ])
     | Some i -> i
     | None -> Interface.empty (Printf.sprintf "class%Ld" class_id)
   in
-  let st =
-    {
-      class_id;
-      next_spec = 1L;
-      interface;
-      instance_units;
-      instance_kind;
-      instance_cache_capacity;
-      superclass;
-      bases = [];
-      flags;
-      default_magistrates;
-      default_scheduler;
-      rr = 0;
-      clones = [];
-      clone_rr = 0;
-      binding_policy;
-      table = [];
-      row_idx = Loid.Table.create ();
-    }
-  in
-  state_to_value st
+  {
+    class_id;
+    next_spec = 1L;
+    interface;
+    instance_units;
+    instance_kind;
+    instance_cache_capacity;
+    superclass;
+    bases = [];
+    flags;
+    default_magistrates;
+    default_scheduler;
+    rr = 0;
+    clones = [];
+    clone_rr = 0;
+    binding_policy;
+    rows = Loid.Ordered.create ();
+  }
+
+let init_state ?interface ?instance_units ?instance_kind ?instance_cache_capacity
+    ?superclass ?flags ?default_magistrates ?default_scheduler ?binding_policy
+    ~class_id () =
+  state_to_value
+    (new_state ?interface ?instance_units ?instance_kind ?instance_cache_capacity
+       ?superclass ?flags ?default_magistrates ?default_scheduler ?binding_policy
+       ~class_id ())
 
 (* ------------------------------------------------------------------ *)
 (* Behaviour.                                                          *)
 
-let find_row st loid = Loid.Table.find st.row_idx loid
-
-let add_row st loid row =
-  st.table <- (loid, row) :: st.table;
-  Loid.Table.set st.row_idx loid row
-
-let remove_row st loid =
-  st.table <- List.filter (fun (l, _) -> not (Loid.equal l loid)) st.table;
-  Loid.Table.remove st.row_idx loid
+let find_row st loid = Loid.Ordered.find st.rows loid
 
 let dedup_units units =
   List.rev
@@ -226,25 +215,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   let rt = ctx.Runtime.rt in
   let self = Runtime.proc_loid ctx.Runtime.self in
   let st =
-    {
-      class_id = Loid.class_id self;
-      next_spec = 1L;
-      interface = Interface.empty "uninitialised";
-      instance_units = [ Well_known.unit_object ];
-      instance_kind = Well_known.kind_app;
-      instance_cache_capacity = None;
-      superclass = None;
-      bases = [];
-      flags = default_flags;
-      default_magistrates = [];
-      default_scheduler = None;
-      rr = 0;
-      clones = [];
-      clone_rr = 0;
-      binding_policy = Policy.Allow_all;
-      table = [];
-      row_idx = Loid.Table.create ();
-    }
+    new_state ~interface:(Interface.empty "uninitialised")
+      ~class_id:(Loid.class_id self) ()
   in
   (* Downstream calls made on behalf of a request keep the request's
      Responsible and Security Agents and substitute this class as the
@@ -500,7 +472,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                               is_subclass = false;
                             }
                           in
-                          add_row st loid row;
+                          Loid.Ordered.add st.rows loid row;
                           let reply_with binding_opt =
                             k
                               (Ok
@@ -642,7 +614,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                                       is_subclass = true;
                                     }
                                   in
-                                  add_row st child row;
+                                  Loid.Ordered.add st.rows child row;
                                   let reply_with b =
                                     k
                                       (Ok
@@ -748,7 +720,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             | Some row ->
                 let rec tell_mags = function
                   | [] ->
-                      remove_row st loid;
+                      Loid.Ordered.remove st.rows loid;
                       k Impl.ok_unit
                   | m :: rest ->
                       invoke_for env m "Delete" [ Loid.to_value loid ] (fun _ ->
@@ -774,7 +746,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             (match find_row st loid with
             | Some row -> row.address <- Some addr
             | None ->
-                add_row st loid
+                Loid.Ordered.add st.rows loid
                   {
                     address = Some addr;
                     magistrates = [];
@@ -918,37 +890,27 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | _ -> Impl.bad_args k "SetBindingPolicy expects one policy value"
   in
 
-  let list_instances _ctx args _env k =
+  (* ListInstances / ListSubclasses: the table's rows of one kind,
+     newest first. *)
+  let list_rows ~subclasses meth _ctx args _env k =
     match args with
     | [] ->
-        let instances =
+        let loids =
           List.filter_map
-            (fun (l, r) -> if r.is_subclass then None else Some l)
-            st.table
+            (fun (l, r) -> if r.is_subclass = subclasses then Some l else None)
+            (Loid.Ordered.to_list st.rows)
         in
-        k (Ok (C.vloids instances))
-    | _ -> Impl.bad_args k "ListInstances takes no arguments"
-  in
-
-  let list_subclasses _ctx args _env k =
-    match args with
-    | [] ->
-        let subs =
-          List.filter_map
-            (fun (l, r) -> if r.is_subclass then Some l else None)
-            st.table
-        in
-        k (Ok (C.vloids subs))
-    | _ -> Impl.bad_args k "ListSubclasses takes no arguments"
+        k (Ok (C.vloids loids))
+    | _ -> Impl.bad_args k (meth ^ " takes no arguments")
   in
 
   let get_class_info _ctx args _env k =
     match args with
     | [] ->
         let n_inst, n_sub =
-          List.fold_left
-            (fun (i, s) (_, r) -> if r.is_subclass then (i, s + 1) else (i + 1, s))
-            (0, 0) st.table
+          Loid.Ordered.fold
+            (fun _ r (i, s) -> if r.is_subclass then (i, s + 1) else (i + 1, s))
+            st.rows (0, 0)
         in
         k
           (Ok
@@ -1130,8 +1092,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         ("SetDefaults", set_defaults);
         ("SetBindingPolicy", set_binding_policy);
         ("StartElastic", start_elastic);
-        ("ListInstances", list_instances);
-        ("ListSubclasses", list_subclasses);
+        ("ListInstances", list_rows ~subclasses:false "ListInstances");
+        ("ListSubclasses", list_rows ~subclasses:true "ListSubclasses");
         ("GetClassInfo", get_class_info);
       ]
     ~save:(fun () -> state_to_value st)

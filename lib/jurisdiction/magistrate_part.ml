@@ -50,11 +50,7 @@ type state = {
   mutable jurisdiction : string;
   mutable hosts : Loid.t list;
   mutable activation_policy : Policy.t;
-  mutable records : (Loid.t * record) list;
-  (* Side index over [records] — the list stays authoritative because
-     its order is observable (serialization, TransferObjects,
-     ListObjects), but lookups must not scan at 10^5 objects. *)
-  mutable rec_idx : record Loid.Table.t;
+  mutable records : record Loid.Ordered.t;  (* newest first *)
   mutable host_load : int Loid.Table.t;  (* local activation counts *)
   mutable activations : int;
   mutable migrations : int;
@@ -73,6 +69,9 @@ let state_value ?(hosts = []) ?(activation_policy = Policy.Allow_all)
       ("policy", Policy.to_value activation_policy);
       ("records", Value.List []);
     ]
+
+let new_record opa =
+  { opa; active = None; moving = None; held = []; movers = []; activating = None }
 
 let record_to_value (loid, r) =
   Value.Record
@@ -100,7 +99,7 @@ let record_of_value v =
         let* a = Address.of_value a_v in
         Ok (h, a))
   in
-  Ok (loid, { opa; active; moving = None; held = []; movers = []; activating = None })
+  Ok (loid, { (new_record opa) with active })
 
 let factory (ctx : Runtime.ctx) : Impl.part =
   let rt = ctx.Runtime.rt in
@@ -110,8 +109,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
       jurisdiction = "";
       hosts = [];
       activation_policy = Policy.Allow_all;
-      records = [];
-      rec_idx = Loid.Table.create ();
+      records = Loid.Ordered.create ();
       host_load = Loid.Table.create ();
       activations = 0;
       migrations = 0;
@@ -135,11 +133,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
              (Printf.sprintf "jurisdiction %S has no registered storage"
                 st.jurisdiction))
   in
-  let find_record loid = Loid.Table.find st.rec_idx loid in
-  let add_record loid r =
-    st.records <- (loid, r) :: st.records;
-    Loid.Table.set st.rec_idx loid r
-  in
+  let find_record loid = Loid.Ordered.find st.records loid in
   let load_of host =
     Option.value ~default:0 (Loid.Table.find st.host_load host)
   in
@@ -407,11 +401,11 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     | Some record ->
                         (match record.opa with
                         | Some old when not (Opa.equal old opa) ->
-                            Persistent.remove store old
+                            Persistent.remove store ~loid old
                         | _ -> ());
                         record.opa <- Some opa
                     | None ->
-                        add_record loid { opa = Some opa; active = None; moving = None; held = []; movers = []; activating = None });
+                        Loid.Ordered.add st.records loid (new_record (Some opa)));
                     k Impl.ok_unit))
     | _ -> Impl.bad_args k "StoreObject expects (loid, opr: blob)"
   in
@@ -433,7 +427,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     let opa = Persistent.put store ~loid blob in
                     (match record.opa with
                     | Some old when not (Opa.equal old opa) ->
-                        Persistent.remove store old
+                        Persistent.remove store ~loid old
                     | _ -> ());
                     record.opa <- Some opa;
                     record.active <- None;
@@ -459,11 +453,6 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | _ -> Impl.bad_args k "Deactivate expects one loid"
   in
 
-  let remove_record loid =
-    st.records <- List.filter (fun (l, _) -> not (Loid.equal l loid)) st.records;
-    Loid.Table.remove st.rec_idx loid
-  in
-
   let delete _ctx args call_env k =
     match args with
     | [ loid_v ] -> (
@@ -475,10 +464,12 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                 | None -> k (Error (Err.Not_bound "object unknown to this magistrate"))
                 | Some record ->
                     let finish () =
-                      (match (record.opa, storage ()) with
-                      | Some opa, Ok store -> Persistent.remove store opa
-                      | _ -> ());
-                      remove_record loid;
+                      (match storage () with
+                      | Ok store ->
+                          Option.iter (Persistent.remove store ~loid) record.opa;
+                          Persistent.forget store ~loid
+                      | Error _ -> ());
+                      Loid.Ordered.remove st.records loid;
                       notify_class loid ~add:[] ~remove:[ self ] (fun () ->
                           k Impl.ok_unit)
                     in
@@ -597,9 +588,9 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                             k (Error e)
                         | Ok () ->
                             (match (record.opa, storage ()) with
-                            | Some opa, Ok store -> Persistent.remove store opa
+                            | Some opa, Ok store -> Persistent.remove store ~loid opa
                             | _ -> ());
-                            remove_record loid;
+                            Loid.Ordered.remove st.records loid;
                             finish_transfer record (Some dst);
                             notify_class loid ~add:[] ~remove:[ self ] (fun () ->
                                 k Impl.ok_unit))))
@@ -617,7 +608,10 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         check_policy ~meth:"SweepIdle" call_env k (fun () ->
             let active_hosts =
               List.sort_uniq Loid.compare
-                (List.filter_map (fun (_, r) -> Option.map fst r.active) st.records)
+                (Loid.Ordered.fold
+                   (fun _ r acc ->
+                     match r.active with Some (h, _) -> h :: acc | None -> acc)
+                   st.records [])
             in
             let swept = ref 0 in
             let rec per_host = function
@@ -694,7 +688,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | _ -> k false
   in
   let checkpoint_all k =
-    let snapshot = st.records in
+    let snapshot = Loid.Ordered.to_list st.records in
     let count = ref 0 in
     let rec go = function
       | [] -> k !count
@@ -760,7 +754,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             match r.active with
             | Some (hh, _) -> Loid.equal hh h
             | None -> false)
-          st.records
+          (Loid.Ordered.to_list st.records)
       in
       emit_ev
         (Event.Confirm_dead { host_obj = h; objects = List.length victims });
@@ -845,7 +839,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     else begin
                       (match find_record loid with
                       | Some record -> record.opa <- Some opa
-                      | None -> add_record loid { opa = Some opa; active = None; moving = None; held = []; movers = []; activating = None });
+                      | None -> Loid.Ordered.add st.records loid (new_record (Some opa)));
                       k Impl.ok_unit
                     end))
     | _ -> Impl.bad_args k "AdoptObject expects (loid, opa)"
@@ -871,7 +865,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     (fun i _ -> i < max_n)
                     (List.filter
                        (fun (l, _) -> not (Loid.is_class l))
-                       st.records)
+                       (Loid.Ordered.to_list st.records))
                 in
                 let moved = ref 0 in
                 let rec transfer = function
@@ -899,7 +893,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                                           finish_transfer record None;
                                           transfer rest
                                       | Ok _ ->
-                                          remove_record loid;
+                                          Loid.Ordered.remove st.records loid;
                                           incr moved;
                                           finish_transfer record (Some dst);
                                           notify_class loid ~add:[ dst ]
@@ -946,7 +940,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
 
   let list_objects _ctx args _env k =
     match args with
-    | [] -> k (Ok (C.vloids (List.map fst st.records)))
+    | [] -> k (Ok (C.vloids (List.map fst (Loid.Ordered.to_list st.records))))
     | _ -> Impl.bad_args k "ListObjects takes no arguments"
   in
 
@@ -954,8 +948,9 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     match args with
     | [] ->
         let n_active =
-          List.length
-            (List.filter (fun (_, r) -> Option.is_some r.active) st.records)
+          Loid.Ordered.fold
+            (fun _ r n -> if Option.is_some r.active then n + 1 else n)
+            st.records 0
         in
         k
           (Ok
@@ -963,7 +958,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                 [
                   ("jurisdiction", Value.Str st.jurisdiction);
                   ("hosts", C.vloids st.hosts);
-                  ("objects", Value.Int (List.length st.records));
+                  ("objects", Value.Int (Loid.Ordered.length st.records));
                   ("active", Value.Int n_active);
                   ("activations", Value.Int st.activations);
                   ("migrations", Value.Int st.migrations);
@@ -977,7 +972,8 @@ let factory (ctx : Runtime.ctx) : Impl.part =
         ("jur", Value.Str st.jurisdiction);
         ("hosts", C.vloids st.hosts);
         ("policy", Policy.to_value st.activation_policy);
-        ("records", Value.List (List.map record_to_value st.records));
+        ("records",
+          Value.List (List.map record_to_value (Loid.Ordered.to_list st.records)));
       ]
   in
   let restore v =
@@ -1001,10 +997,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     st.jurisdiction <- jur;
     st.hosts <- hosts;
     st.activation_policy <- policy;
-    st.records <- records;
-    let idx = Loid.Table.create () in
-    List.iter (fun (l, r) -> Loid.Table.set idx l r) records;
-    st.rec_idx <- idx;
+    st.records <- Loid.Ordered.of_list records;
     Ok ()
   in
   Impl.part

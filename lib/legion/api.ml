@@ -130,7 +130,9 @@ let derive_class_exn t ctx ~parent ~name ?units ?idl ?mpl ?abstract ?private_
 
 let delete_object t ctx ~cls ~loid =
   match call t ctx ~dst:cls ~meth:"Delete" ~args:[ Loid.to_value loid ] with
-  | Ok _ -> Ok ()
+  | Ok _ ->
+      Legion_naming.Cache.invalidate (Runtime.cache_of ctx.Runtime.self) loid;
+      Ok ()
   | Error e -> Error e
 
 let inherit_from t ctx ~cls ~base =

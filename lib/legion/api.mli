@@ -117,7 +117,9 @@ val delete_object :
   System.t -> Runtime.ctx -> cls:Loid.t -> loid:Loid.t ->
   (unit, Legion_rt.Err.t) result
 (** Invoke [Delete] on the owning class: active and inert copies are
-    removed everywhere; later references fail definitively (§3.8). *)
+    removed everywhere; later references fail definitively (§3.8). On
+    success the caller's own cached binding for [loid] is dropped, since
+    it can only be stale. *)
 
 val inherit_from :
   System.t -> Runtime.ctx -> cls:Loid.t -> base:Loid.t ->

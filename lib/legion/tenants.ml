@@ -179,9 +179,7 @@ let run_scenario ?(seed = 7L) ~noisy () =
                        | Ok _ ->
                            incr oks;
                            let dt = Engine.now eng -. t0 in
-                           Ustats.add lat dt;
-                           Recorder.observe_tenant (System.obs sys)
-                             ~tenant:name dt
+                           Ustats.add lat dt
                        | Error (Err.Quota_exceeded _ | Err.Overloaded _) ->
                            incr quota
                        | Error _ -> incr errors))))

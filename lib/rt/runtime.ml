@@ -58,23 +58,24 @@ type dedup_entry = {
   mutable de_reply : reply option;
 }
 
-(* Per-tenant wait lanes under deficit round robin (DRR). When the
-   runtime serves a tenant registry, a budgeted process parks excess
-   arrivals in one bounded lane per tenant instead of the single shared
-   FIFO, and freed inflight slots are granted by cycling the ring of
-   backlogged lanes: each visit tops a lane's deficit up by its tenant's
-   weight and serves whole calls while the deficit lasts, so service is
-   weight-proportional and one flooding tenant can neither displace
-   other tenants' queued calls nor monopolise the dispatch order. *)
+(* Wait lanes under deficit round robin (DRR). A budgeted process parks
+   excess arrivals in one bounded lane per tenant — untenanted calls in
+   the lane whose tenant is [None] — and freed inflight slots are
+   granted by cycling the ring of backlogged lanes: each visit tops a
+   lane's deficit up by its tenant's weight and serves whole calls while
+   the deficit lasts, so service is weight-proportional and one flooding
+   tenant can neither displace other tenants' queued calls nor
+   monopolise the dispatch order. With no registry armed every call
+   lands in the [None] lane, and DRR over one lane is FIFO. *)
 type lane = {
-  l_tenant : Tenant.tenant;
+  l_tenant : Tenant.tenant option;
   l_q : (call * (reply -> unit)) Queue.t;
   mutable l_deficit : float;
   mutable l_linked : bool;  (* currently a member of the ring *)
 }
 
 type drr = {
-  d_lanes : (string, lane) Hashtbl.t;  (* lookup only, never iterated *)
+  d_lanes : (string option, lane) Hashtbl.t;  (* lookup only, never iterated *)
   d_ring : lane Queue.t;  (* service order; only backlogged lanes *)
   mutable d_count : int;  (* calls parked across all lanes *)
 }
@@ -87,8 +88,7 @@ type proc = {
   mutable epoch : int;  (* incarnation this placement belongs to *)
   cache : Cache.t;
   counter : Counter.t;
-  queue : (call * (reply -> unit)) Queue.t;  (* admission wait queue *)
-  mutable drr : drr option;  (* per-tenant lanes; replaces [queue] when tenancy is on *)
+  mutable drr : drr option;  (* admission wait lanes, created on first park *)
   mutable admission : admission option;
   mutable inflight : int;  (* handlers started, reply not yet sent *)
   mutable live : bool;
@@ -173,15 +173,13 @@ let kill rt proc =
   if proc.live then begin
     proc.live <- false;
     emit rt ~host:proc.host (Event.Deactivate { loid = proc.loid });
-    (* Calls parked in the admission queue will never run; answer them
+    (* Calls parked in the wait lanes will never run; answer them
        rather than leaving their callers to time out. *)
     let answer_parked (_call, reply_to) =
       ignore
         (Engine.schedule rt.sim ~delay:0.0 (fun () ->
              reply_to (Error Err.No_such_object)))
     in
-    Queue.iter answer_parked proc.queue;
-    Queue.clear proc.queue;
     (match proc.drr with
     | Some d ->
         (* Ring order is the deterministic flush order for the lanes. *)
@@ -416,9 +414,7 @@ let breaker_note rt ~at_host ~dst_host outcome =
 (* ------------------------------------------------------------------ *)
 (* Delivery and admission control.                                     *)
 
-let queue_depth proc =
-  Queue.length proc.queue
-  + match proc.drr with Some d -> d.d_count | None -> 0
+let queue_depth proc = match proc.drr with Some d -> d.d_count | None -> 0
 
 let overload_hint a ~queued =
   let fill = float_of_int queued /. float_of_int (max 1 a.max_queue) in
@@ -438,9 +434,6 @@ let shed_reply rt proc ~meth =
   let a = Option.value ~default:default_admission proc.admission in
   overload_error a ~queued
 
-let shed_call rt proc ~meth reply_to =
-  reply_to (Error (shed_reply rt proc ~meth))
-
 (* A tenant-budget shed: attributed to the charged tenant in both the
    event stream and the error, unlike the anonymous [Overloaded]. *)
 let quota_error rt proc tn ~meth ~retry_after =
@@ -456,9 +449,6 @@ let quota_error rt proc tn ~meth ~retry_after =
        });
   Err.Quota_exceeded { tenant = Tenant.name tn; retry_after }
 
-let quota_shed rt proc tn ~meth ~retry_after reply_to =
-  reply_to (Error (quota_error rt proc tn ~meth ~retry_after))
-
 let drr_of proc =
   match proc.drr with
   | Some d -> d
@@ -470,7 +460,7 @@ let drr_of proc =
       d
 
 let lane_of d tn =
-  let key = Tenant.name tn in
+  let key = Option.map Tenant.name tn in
   match Hashtbl.find_opt d.d_lanes key with
   | Some lane -> lane
   | None ->
@@ -480,13 +470,16 @@ let lane_of d tn =
       Hashtbl.add d.d_lanes key lane;
       lane
 
+let lane_weight lane =
+  float_of_int (match lane.l_tenant with Some tn -> Tenant.weight tn | None -> 1)
+
 (* A lane (re-)entering the ring starts with one quantum of deficit, so
    a tenant returning from idle is served promptly without accumulating
    credit while absent. *)
 let link_lane d lane =
   if not lane.l_linked then begin
     lane.l_linked <- true;
-    lane.l_deficit <- float_of_int (Tenant.weight lane.l_tenant);
+    lane.l_deficit <- lane_weight lane;
     Queue.add lane d.d_ring
   end
 
@@ -526,78 +519,58 @@ let rec deliver_call rt proc ~queued ?tn call reply_to =
   in
   proc.handler { rt; self = proc } call reply_once
 
-and drain_queue rt proc =
-  match proc.admission with
-  | Some a when proc.inflight < a.max_inflight -> (
-      match proc.drr with
-      | Some d -> drain_drr rt proc a d
-      | None -> drain_fifo rt proc a)
-  | _ -> ()
-
-and drain_fifo rt proc _a =
-  if not (Queue.is_empty proc.queue) then begin
-    (* Reserve the freed slot now, dispatch from a fresh event so the
-       reply that released it finishes unwinding first. *)
-    let call, reply_to = Queue.pop proc.queue in
-    proc.inflight <- proc.inflight + 1;
-    ignore
-      (Engine.schedule rt.sim ~delay:0.0 (fun () ->
-           if proc.live then deliver_call rt proc ~queued:true call reply_to
-           else begin
-             proc.inflight <- proc.inflight - 1;
-             reply_to (Error Err.No_such_object)
-           end))
-  end
-
-(* Grant the freed slot under deficit round robin: walk the ring, topping
+(* Grant a freed slot under deficit round robin: walk the ring, topping
    deficits up by one weight-quantum per rotation, and serve the first
    lane holding a whole quantum. A lane keeps the head (and its residual
    deficit) until the quantum is spent, then rotates to the tail; empty
    lanes leave the ring. The bound covers one full recharge rotation —
    every backlogged lane gains >= 1 deficit per pass, so a servable head
    is always reached within it. *)
-and drain_drr rt proc a d =
-  ignore a;
-  let rec pick rounds =
-    if rounds = 0 || Queue.is_empty d.d_ring then None
-    else
-      let lane = Queue.peek d.d_ring in
-      if Queue.is_empty lane.l_q then begin
-        ignore (Queue.pop d.d_ring);
-        lane.l_linked <- false;
-        pick (rounds - 1)
-      end
-      else if lane.l_deficit >= 1.0 then begin
-        lane.l_deficit <- lane.l_deficit -. 1.0;
-        let entry = Queue.pop lane.l_q in
-        d.d_count <- d.d_count - 1;
-        if Queue.is_empty lane.l_q then begin
-          ignore (Queue.pop d.d_ring);
-          lane.l_linked <- false
-        end;
-        Some (lane.l_tenant, entry)
-      end
-      else begin
-        lane.l_deficit <-
-          lane.l_deficit +. float_of_int (Tenant.weight lane.l_tenant);
-        ignore (Queue.pop d.d_ring);
-        Queue.add lane d.d_ring;
-        pick (rounds - 1)
-      end
-  in
-  match pick ((2 * Queue.length d.d_ring) + 1) with
-  | None -> ()
-  | Some (tn, (call, reply_to)) ->
-      proc.inflight <- proc.inflight + 1;
-      Tenant.begin_call tn;
-      ignore
-        (Engine.schedule rt.sim ~delay:0.0 (fun () ->
-             if proc.live then deliver_call rt proc ~queued:true ~tn call reply_to
-             else begin
-               proc.inflight <- proc.inflight - 1;
-               Tenant.end_call tn;
-               reply_to (Error Err.No_such_object)
-             end))
+and drain_queue rt proc =
+  match (proc.admission, proc.drr) with
+  | Some a, Some d when proc.inflight < a.max_inflight -> (
+      let rec pick rounds =
+        if rounds = 0 || Queue.is_empty d.d_ring then None
+        else
+          let lane = Queue.peek d.d_ring in
+          if Queue.is_empty lane.l_q then begin
+            ignore (Queue.pop d.d_ring);
+            lane.l_linked <- false;
+            pick (rounds - 1)
+          end
+          else if lane.l_deficit >= 1.0 then begin
+            lane.l_deficit <- lane.l_deficit -. 1.0;
+            let entry = Queue.pop lane.l_q in
+            d.d_count <- d.d_count - 1;
+            if Queue.is_empty lane.l_q then begin
+              ignore (Queue.pop d.d_ring);
+              lane.l_linked <- false
+            end;
+            Some (lane.l_tenant, entry)
+          end
+          else begin
+            lane.l_deficit <- lane.l_deficit +. lane_weight lane;
+            ignore (Queue.pop d.d_ring);
+            Queue.add lane d.d_ring;
+            pick (rounds - 1)
+          end
+      in
+      match pick ((2 * Queue.length d.d_ring) + 1) with
+      | None -> ()
+      | Some (tn, (call, reply_to)) ->
+          (* Reserve the freed slot now, dispatch from a fresh event so the
+             reply that released it finishes unwinding first. *)
+          proc.inflight <- proc.inflight + 1;
+          Option.iter Tenant.begin_call tn;
+          ignore
+            (Engine.schedule rt.sim ~delay:0.0 (fun () ->
+                 if proc.live then deliver_call rt proc ~queued:true ?tn call reply_to
+                 else begin
+                   proc.inflight <- proc.inflight - 1;
+                   Option.iter Tenant.end_call tn;
+                   reply_to (Error Err.No_such_object)
+                 end)))
+  | _ -> ()
 
 let note_caller rt proc ~src_host =
   let site = Network.site_of rt.net src_host in
@@ -608,57 +581,55 @@ let note_caller rt proc ~src_host =
 
 let admit_call rt proc call reply_to =
   match proc.admission with
-  | Some a -> (
-      match rt.tenants with
-      | Some reg ->
-          (* Tenanted admission: charge the caller's budgets first (a
-             failed charge is a shed attributed to that tenant), then
-             either take a free slot directly — only when no lane is
-             backlogged, so arrivals never overtake queued tenants — or
-             park in the tenant's own bounded lane. *)
-          let tn = Tenant.of_env reg call.env in
-          let nowt = Engine.now rt.sim in
-          if not (Tenant.try_take tn ~now:nowt) then
-            quota_shed rt proc tn ~meth:call.meth
-              ~retry_after:(Tenant.retry_hint tn ~now:nowt)
-              reply_to
-          else if not (Tenant.inflight_ok tn) then
-            quota_shed rt proc tn ~meth:call.meth ~retry_after:a.retry_after_hint
-              reply_to
-          else
-            let d = drr_of proc in
-            if proc.inflight < a.max_inflight && Queue.is_empty d.d_ring then begin
-              proc.inflight <- proc.inflight + 1;
-              Tenant.begin_call tn;
-              deliver_call rt proc ~queued:false ~tn call reply_to
-            end
-            else
-              let lane = lane_of d tn in
-              if Queue.length lane.l_q < a.max_queue then begin
-                Queue.add (call, reply_to) lane.l_q;
-                d.d_count <- d.d_count + 1;
-                link_lane d lane;
-                (* A slot may be free when the tenant's own lane was
-                   backlogged; grant it through the scheduler so lane
-                   order, not arrival order, decides. *)
-                if proc.inflight < a.max_inflight then drain_queue rt proc
-              end
-              else
-                quota_shed rt proc tn ~meth:call.meth
-                  ~retry_after:(overload_hint a ~queued:(Queue.length lane.l_q))
-                  reply_to
-      | None ->
-          if proc.inflight >= a.max_inflight then
-            if Queue.length proc.queue < a.max_queue then
-              Queue.add (call, reply_to) proc.queue
-            else shed_call rt proc ~meth:call.meth reply_to
-          else begin
-            proc.inflight <- proc.inflight + 1;
-            deliver_call rt proc ~queued:false call reply_to
-          end)
   | None ->
       proc.inflight <- proc.inflight + 1;
       deliver_call rt proc ~queued:false call reply_to
+  | Some a -> (
+      (* With a registry armed, charge the caller's budgets first: a
+         failed charge is a shed attributed to that tenant. *)
+      let charge =
+        match rt.tenants with
+        | None -> Ok None
+        | Some reg ->
+            let tn = Tenant.of_env reg call.env in
+            let nowt = Engine.now rt.sim in
+            if not (Tenant.try_take tn ~now:nowt) then
+              Error (tn, Tenant.retry_hint tn ~now:nowt)
+            else if not (Tenant.inflight_ok tn) then Error (tn, a.retry_after_hint)
+            else Ok (Some tn)
+      in
+      match charge with
+      | Error (tn, retry_after) ->
+          reply_to (Error (quota_error rt proc tn ~meth:call.meth ~retry_after))
+      | Ok tn ->
+          (* Take a free slot directly only when no lane is backlogged,
+             so arrivals never overtake parked calls; otherwise park in
+             the tenant's own bounded lane. *)
+          if proc.inflight < a.max_inflight && queue_depth proc = 0 then begin
+            proc.inflight <- proc.inflight + 1;
+            Option.iter Tenant.begin_call tn;
+            deliver_call rt proc ~queued:false ?tn call reply_to
+          end
+          else
+            let d = drr_of proc in
+            let lane = lane_of d tn in
+            if Queue.length lane.l_q < a.max_queue then begin
+              Queue.add (call, reply_to) lane.l_q;
+              d.d_count <- d.d_count + 1;
+              link_lane d lane;
+              (* A slot may be free when a lane was backlogged; grant it
+                 through the scheduler so lane order, not arrival order,
+                 decides. *)
+              if proc.inflight < a.max_inflight then drain_queue rt proc
+            end
+            else
+              reply_to
+                (Error
+                   (match tn with
+                   | None -> shed_reply rt proc ~meth:call.meth
+                   | Some tn ->
+                       quota_error rt proc tn ~meth:call.meth
+                         ~retry_after:(overload_hint a ~queued:(Queue.length lane.l_q)))))
 
 (* ------------------------------------------------------------------ *)
 (* Tenancy: registry plumbing and part-facing enforcement helpers.     *)
@@ -851,7 +822,6 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
       epoch;
       cache;
       counter;
-      queue = Queue.create ();
       drr = None;
       admission;
       inflight = 0;

@@ -246,12 +246,13 @@ val binding_agent : proc -> Address.t option
 
     A budgeted object ([admission] set at spawn or via
     {!set_admission}) executes at most [max_inflight] calls at once;
-    arrivals beyond that park in a FIFO queue of at most [max_queue],
+    arrivals beyond that park in a wait lane of at most [max_queue],
     and anything further is {e shed}: answered immediately with
     [Err.Overloaded] (a [Shed] event) instead of being allowed to rot
-    until timeout. Admitted calls emit [Admit]. Queued calls dispatch
-    in order as inflight slots free up. The caller's comm layer treats
-    [Overloaded] as retryable backpressure (see {!invoke}). *)
+    until timeout. Admitted calls emit [Admit]. Untenanted calls share
+    one lane and dispatch in arrival order as inflight slots free up.
+    The caller's comm layer treats [Overloaded] as retryable
+    backpressure (see {!invoke}). *)
 
 val set_admission : proc -> admission option -> unit
 val admission_of : proc -> admission option
@@ -260,7 +261,7 @@ val inflight : proc -> int
 (** Calls currently executing (handler started, reply pending). *)
 
 val queued_calls : proc -> int
-(** Calls parked in the admission queue. *)
+(** Calls parked across the process's wait lanes. *)
 
 val load_factor : proc -> float
 (** [(inflight + queued) / (max_inflight + max_queue)] — [0.] when
@@ -277,9 +278,11 @@ val shed_reply : t -> proc -> meth:string -> Err.t
 
 (** {1 Tenancy}
 
-    Arming a {!Tenant.t} registry ({!set_tenants}) switches every
-    budgeted process from the shared FIFO to {e per-tenant} wait lanes
-    scheduled by deficit round robin: a call's tenant is derived from
+    Arming a {!Tenant.t} registry ({!set_tenants}) parks each call in
+    its {e tenant's} wait lane; all lanes of a process, the untenanted
+    one included, share one ring scheduled by deficit round robin, so
+    arming or disarming while calls are parked strands none of them.
+    A call's tenant is derived from
     its environment's Responsible Agent ([Env.responsible], §2.4), its
     token-bucket and inflight budgets are charged at admission (a failed
     charge is shed with the retryable [Err.Quota_exceeded], attributed
@@ -287,8 +290,8 @@ val shed_reply : t -> proc -> meth:string -> Err.t
     granted weight-proportionally across backlogged lanes, each bounded
     by [max_queue] — so a flooding tenant exhausts only its own lane and
     budget while everyone else's queue depth and dispatch share are
-    preserved. With no registry armed the admission path is byte-for-
-    byte the pre-tenancy FIFO behaviour. *)
+    preserved. With no registry armed every call lands in the one
+    untenanted lane (weight 1), and DRR over one lane is FIFO. *)
 
 val set_tenants : t -> Tenant.t option -> unit
 val tenants : t -> Tenant.t option

@@ -215,18 +215,25 @@ let get t (opa : Opa.t) =
   | None -> None
   | Some d -> Disk.read d ~key:opa.Opa.file
 
-let remove t (opa : Opa.t) =
+let remove t ~loid (opa : Opa.t) =
   match find_disk t opa.Opa.disk with
   | None -> ()
-  | Some d ->
+  | Some d -> (
       Disk.delete d ~key:opa.Opa.file;
-      Loid.Table.iter
-        (fun _ entries ->
+      match Loid.Table.find t.hist loid with
+      | None -> ()
+      | Some entries ->
           List.iter
             (fun e ->
               if Opa.equal e.History.opa opa then e.History.available <- false)
             !entries)
-        t.hist
+
+let forget t ~loid =
+  Option.iter
+    (fun entries -> List.iter (fun e -> remove t ~loid e.History.opa) !entries)
+    (Loid.Table.find t.hist loid);
+  Loid.Table.remove t.hist loid;
+  Loid.Table.remove t.committed_mark loid
 
 let history t ~loid =
   match Loid.Table.find t.hist loid with

@@ -82,7 +82,17 @@ val put_at : t -> Opa.t -> string -> (unit, string) result
     that minted the OPA keeps describing it. *)
 
 val get : t -> Opa.t -> string option
-val remove : t -> Opa.t -> unit
+val remove : t -> loid:Legion_naming.Loid.t -> Opa.t -> unit
+(** Delete the file at the address and mark its history entry
+    unavailable. [loid] names the object the OPA was stored for; only
+    that object's history is searched, so the cost does not grow with
+    the number of objects in the store. *)
+
+val forget : t -> loid:Legion_naming.Loid.t -> unit
+(** Drop a deleted object (§3.8) from the store: every version file its
+    history still lists, the history itself and its commit watermark.
+    Without this, each object ever deleted would keep its history rows
+    for the life of the store. *)
 
 (** {1 Version history} *)
 

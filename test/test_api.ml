@@ -108,9 +108,20 @@ let test_delete_object_helper () =
   let ctx = System.client sys () in
   let cls = H.make_counter_class sys ctx () in
   let loid = Api.create_object_exn sys ctx ~cls ~eager:true () in
+  let cached () =
+    Legion_naming.Cache.mem (Runtime.cache_of ctx.Runtime.self) ~now:(System.now sys) loid
+  in
+  ignore (Api.call_exn sys ctx ~dst:loid ~meth:"Get" ~args:[]);
+  Alcotest.(check bool) "binding cached by the call" true (cached ());
   (match Api.delete_object sys ctx ~cls ~loid with
   | Ok () -> ()
   | Error e -> Alcotest.failf "delete: %s" (Err.to_string e));
+  (* Nothing of the object is kept: not the caller's cached binding,
+     not its history in the Jurisdiction's store. *)
+  Alcotest.(check bool) "caller's binding dropped" false (cached ());
+  Alcotest.(check int) "store history dropped" 0
+    (List.length
+       (Legion_store.Persistent.history (System.site sys 0).System.storage ~loid));
   match Api.call sys ctx ~dst:loid ~meth:"Get" ~args:[] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "deleted object answered"
@@ -142,6 +153,40 @@ let test_fresh_instance_loids_distinct () =
   Alcotest.(check bool) "high range" true
     (Int64.compare (Loid.class_specific a) 0x1_0000_0000L >= 0)
 
+(* §5: no component's per-request cost grows with the size of the
+   system. The median minor words allocated per [Api.delete_object]
+   must not grow with the number of instances the class and its
+   Magistrate hold. The median, not the mean, because an occasional
+   delete pays for an amortised hash-table resize (~90k words once). *)
+let delete_words ~instances =
+  let sys = H.boot_one_site () in
+  let ctx = System.client sys () in
+  let cls = H.make_counter_class sys ctx () in
+  let loids = List.init instances (fun _ -> Api.create_object_exn sys ctx ~cls ()) in
+  let victims = List.filteri (fun i _ -> i mod (instances / 40) = 0) loids in
+  let words loid =
+    let w0 = Gc.minor_words () in
+    (match Api.delete_object sys ctx ~cls ~loid with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "delete: %s" (Err.to_string e));
+    Gc.minor_words () -. w0
+  in
+  let sorted = List.sort Float.compare (List.map words victims) in
+  List.nth sorted (List.length sorted / 2)
+
+(* Measured on OCaml 5.1.1: a median of 3,898 words per delete at 500
+   instances and 3,918 at 5,000. When each delete copied the class table
+   and the Magistrate's records, and the store scanned every object's
+   history, it was 8,753 words at 500 and 53,767 at 5,000. *)
+let test_delete_cost_flat () =
+  let small = delete_words ~instances:500 in
+  let large = delete_words ~instances:5000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per delete at 5000 within 1.1x of %.0f at 500"
+       large small)
+    true
+    (large <= 1.1 *. small)
+
 let () =
   Alcotest.run "api"
     [
@@ -162,5 +207,6 @@ let () =
           Alcotest.test_case "both IDLs rejected" `Quick test_derive_rejects_both_idls;
           Alcotest.test_case "bad IDL rejected" `Quick test_derive_bad_idl_rejected;
           Alcotest.test_case "delete_object helper" `Quick test_delete_object_helper;
+          Alcotest.test_case "delete cost flat in instances" `Quick test_delete_cost_flat;
         ] );
     ]

@@ -36,9 +36,19 @@ let test_persistent_stripes () =
     (opa1.Persistent.Opa.disk <> opa2.Persistent.Opa.disk);
   Alcotest.(check bool) "distinct files" false (Persistent.Opa.equal opa1 opa2);
   Alcotest.(check (option string)) "get v1" (Some "v1") (Persistent.get p opa1);
-  Persistent.remove p opa1;
+  Persistent.remove p ~loid:l opa1;
   Alcotest.(check (option string)) "removed" None (Persistent.get p opa1);
   Alcotest.(check int) "one file left" 1 (Persistent.total_files p);
+  (* Forgetting a deleted object drops its remaining files and history;
+     another object's are untouched. *)
+  let other = Loid.make ~class_id:1L ~class_specific:2L () in
+  let opa3 = Persistent.put p ~loid:other "w1" in
+  Persistent.forget p ~loid:l;
+  Alcotest.(check (option string)) "v2 gone" None (Persistent.get p opa2);
+  Alcotest.(check int) "no history" 0 (List.length (Persistent.history p ~loid:l));
+  Alcotest.(check (option string)) "other kept" (Some "w1") (Persistent.get p opa3);
+  Alcotest.(check int) "other's history kept" 1
+    (List.length (Persistent.history p ~loid:other));
   (* put_at rejects foreign disks. *)
   (match Persistent.put_at p { Persistent.Opa.disk = "nope"; file = "f" } "x" with
   | Error _ -> ()

@@ -5,6 +5,7 @@ module Address = Legion_naming.Address
 module Binding = Legion_naming.Binding
 module Cache = Legion_naming.Cache
 module Prng = Legion_util.Prng
+module Value = Legion_wire.Value
 
 let loid_t = Alcotest.testable Loid.pp Loid.equal
 let addr_t = Alcotest.testable Address.pp Address.equal
@@ -62,6 +63,129 @@ let loid_roundtrip =
       match Loid.of_value (Loid.to_value l) with
       | Ok l' -> Loid.equal l l'
       | Error _ -> false)
+
+(* Loid.Ordered against an association-list model kept newest first:
+   [add] drops any old binding and puts the key in front, [remove]
+   drops it. Keys come from a small range so re-adds and removals of
+   present keys are common. *)
+type ordered_op = Add of int * int | Remove of int | Find of int
+
+let ordered_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun k v -> Add (k, v)) (0 -- 15) nat);
+        (2, map (fun k -> Remove k) (0 -- 15));
+        (1, map (fun k -> Find k) (0 -- 15));
+      ])
+
+let print_ordered_op = function
+  | Add (k, v) -> Printf.sprintf "Add(%d,%d)" k v
+  | Remove k -> Printf.sprintf "Remove %d" k
+  | Find k -> Printf.sprintf "Find %d" k
+
+let ordered_matches_model =
+  let key i = Loid.make ~class_id:3L ~class_specific:(Int64.of_int i) () in
+  QCheck.Test.make ~name:"ordered table matches list model" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(list print_ordered_op)
+       QCheck.Gen.(list_size (0 -- 60) ordered_op_gen))
+    (fun ops ->
+      let t = Loid.Ordered.create () in
+      let step model op =
+        let model =
+          match op with
+          | Add (k, v) ->
+              Loid.Ordered.add t (key k) v;
+              (key k, v) :: List.filter (fun (l, _) -> not (Loid.equal l (key k))) model
+          | Remove k ->
+              Loid.Ordered.remove t (key k);
+              List.filter (fun (l, _) -> not (Loid.equal l (key k))) model
+          | Find k ->
+              let expect =
+                List.find_map
+                  (fun (l, v) -> if Loid.equal l (key k) then Some v else None)
+                  model
+              in
+              if Loid.Ordered.find t (key k) <> expect then
+                QCheck.Test.fail_reportf "find %d disagrees" k;
+              model
+        in
+        let listed = Loid.Ordered.to_list t in
+        let folded = List.rev (Loid.Ordered.fold (fun l v acc -> (l, v) :: acc) t []) in
+        let same a b =
+          List.length a = List.length b
+          && List.for_all2 (fun (l, v) (l', v') -> Loid.equal l l' && v = v') a b
+        in
+        if not (same listed model && same folded model) then
+          QCheck.Test.fail_report "order or contents differ from the model";
+        if Loid.Ordered.length t <> List.length model then
+          QCheck.Test.fail_report "length differs from the model";
+        if not (same (Loid.Ordered.to_list (Loid.Ordered.of_list listed)) model) then
+          QCheck.Test.fail_report "of_list is not the inverse of to_list";
+        model
+      in
+      ignore (List.fold_left step [] ops);
+      true)
+
+(* The class's logical table and the Magistrate's records, after
+   interleaved Create/Delete, list their rows newest first, and their
+   saved state is a fixed point of save -> restore -> save. *)
+let test_ordered_state_roundtrip () =
+  let sys = Helpers.boot_one_site () in
+  let ctx = Legion.System.client sys () in
+  let cls = Helpers.make_counter_class sys ctx () in
+  let mag = List.hd (Legion.System.magistrates sys) in
+  let create () = Legion.Api.create_object_exn sys ctx ~cls ~magistrate:mag () in
+  let delete loid =
+    match Legion.Api.delete_object sys ctx ~cls ~loid with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "delete: %s" (Legion_rt.Err.to_string e)
+  in
+  (* [live] is the model, newest first. *)
+  let live = ref [] in
+  for i = 1 to 24 do
+    live := create () :: !live;
+    if i mod 3 = 0 then begin
+      let victim = List.nth !live (i mod List.length !live) in
+      delete victim;
+      live := List.filter (fun l -> not (Loid.equal l victim)) !live
+    end
+  done;
+  let call dst meth args = Legion.Api.call_exn sys ctx ~dst ~meth ~args in
+  let unit_state dst unit_name =
+    match call dst "SaveState" [] with
+    | Value.Record fields -> (List.assoc unit_name fields, Value.Record fields)
+    | v -> Alcotest.failf "SaveState: %s" (Value.to_string v)
+  in
+  let listed field v =
+    match Value.field v field with
+    | Ok (Value.List rows) ->
+        List.filter_map
+          (fun row ->
+            match Option.map Loid.of_value (Result.to_option (Value.field row "loid")) with
+            | Some (Ok l)
+              when (not (Loid.is_class l)) && Loid.equal (Loid.responsible_class l) cls ->
+                Some l
+            | _ -> None)
+          rows
+    | _ -> Alcotest.failf "no %s list" field
+  in
+  let check_roundtrip dst unit_name field =
+    let st, whole = unit_state dst unit_name in
+    Alcotest.(check (list loid_t)) (field ^ " newest first") !live (listed field st);
+    ignore (call dst "RestoreState" [ whole ]);
+    let _, again = unit_state dst unit_name in
+    Alcotest.(check string) (field ^ " save/restore/save is a fixed point")
+      (Legion_wire.Codec.encode whole) (Legion_wire.Codec.encode again)
+  in
+  check_roundtrip cls Legion_core.Class_part.unit_name "table";
+  check_roundtrip mag Legion_jur.Magistrate_part.unit_name "records";
+  (* The restored tables still find rows: deleting through them works. *)
+  List.iter delete !live;
+  match call cls "ListInstances" [] with
+  | Value.List [] -> ()
+  | v -> Alcotest.failf "instances left after delete: %s" (Value.to_string v)
 
 (* --- Addresses (§3.4) --- *)
 
@@ -414,6 +538,9 @@ let () =
           Alcotest.test_case "table" `Quick test_loid_table;
           Alcotest.test_case "map and set" `Quick test_loid_map_set;
           QCheck_alcotest.to_alcotest loid_roundtrip;
+          QCheck_alcotest.to_alcotest ordered_matches_model;
+          Alcotest.test_case "class and Magistrate tables round-trip" `Quick
+            test_ordered_state_roundtrip;
         ] );
       ( "address",
         [
