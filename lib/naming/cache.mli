@@ -43,8 +43,8 @@ val length : t -> int
 val capacity : t -> int option
 
 val clear : t -> unit
-(** Drop every entry and reset the LRU clock and all statistics to the
-    freshly-created state. *)
+(** Drop every entry and reset all statistics to the freshly-created
+    state. *)
 
 (** {1 Statistics} *)
 

@@ -60,13 +60,15 @@ end
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
 
-module Table = struct
-  module H = Hashtbl.Make (struct
-    type nonrec t = t
+module Hashed = struct
+  type nonrec t = t
 
-    let equal = equal
-    let hash = hash
-  end)
+  let equal = equal
+  let hash = hash
+end
+
+module Table = struct
+  module H = Hashtbl.Make (Hashed)
 
   type 'a t = 'a H.t
 
@@ -77,67 +79,6 @@ module Table = struct
   let remove t k = H.remove t k
   let length t = H.length t
   let fold f t init = H.fold f t init
-  let to_list t = H.fold (fun k v acc -> (k, v) :: acc) t []
 end
 
-(* A doubly linked list threaded through the index's nodes: the index
-   finds a node, the links give the order, so removal unlinks in O(1)
-   and no second copy of the entries exists to keep in sync. *)
-module Ordered = struct
-  type 'a node =
-    | Nil
-    | Node of {
-        key : t;
-        value : 'a;
-        mutable older : 'a node;
-        mutable newer : 'a node;
-      }
-
-  type 'a t = {
-    index : 'a node Table.t;
-    mutable newest : 'a node;
-    mutable oldest : 'a node;
-  }
-
-  let create () = { index = Table.create (); newest = Nil; oldest = Nil }
-
-  let node t k = try Table.H.find t.index k with Not_found -> Nil
-
-  let find t k = match node t k with Node n -> Some n.value | Nil -> None
-
-  let length t = Table.length t.index
-
-  let remove t k =
-    match node t k with
-    | Node n ->
-        (match n.newer with Node m -> m.older <- n.older | Nil -> t.newest <- n.older);
-        (match n.older with Node m -> m.newer <- n.newer | Nil -> t.oldest <- n.newer);
-        Table.remove t.index k
-    | Nil -> ()
-
-  let add t k v =
-    remove t k;
-    let node = Node { key = k; value = v; older = t.newest; newer = Nil } in
-    (match t.newest with Node m -> m.newer <- node | Nil -> t.oldest <- node);
-    t.newest <- node;
-    Table.set t.index k node
-
-  let fold f t init =
-    let rec go acc = function
-      | Nil -> acc
-      | Node n -> go (f n.key n.value acc) n.older
-    in
-    go init t.newest
-
-  let to_list t =
-    let rec go acc = function
-      | Nil -> acc
-      | Node n -> go ((n.key, n.value) :: acc) n.newer
-    in
-    go [] t.oldest
-
-  let of_list entries =
-    let t = create () in
-    List.iter (fun (k, v) -> add t k v) (List.rev entries);
-    t
-end
+module Ordered = Legion_util.Ordered.Make (Hashed)

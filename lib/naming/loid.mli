@@ -55,33 +55,9 @@ module Table : sig
   val remove : 'a t -> loid -> unit
   val length : 'a t -> int
   val fold : (loid -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-  val to_list : 'a t -> (loid * 'a) list
 end
 
-module Ordered : sig
-  (** Insertion-ordered table keyed by LOID: one structure that both
-      looks an entry up and lists the entries newest first. [find],
-      [add], [remove] and [length] are O(1). *)
-
-  type loid := t
-  type 'a t
-
-  val create : unit -> 'a t
-  val find : 'a t -> loid -> 'a option
-
-  val add : 'a t -> loid -> 'a -> unit
-  (** Bind the key as the newest entry. A key already present is
-      removed first, so it moves to the front with the new value. *)
-
-  val remove : 'a t -> loid -> unit
-  val length : 'a t -> int
-
-  val fold : (loid -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-  (** Visits the entries newest first. *)
-
-  val to_list : 'a t -> (loid * 'a) list
-  (** The entries, newest first. *)
-
-  val of_list : (loid * 'a) list -> 'a t
-  (** Inverse of {!to_list}: the list is read newest first. *)
-end
+module Ordered : Legion_util.Ordered.S with type key = t
+(** Recency-ordered table keyed by LOID (see {!Legion_util.Ordered}):
+    one structure that both looks an entry up and lists the entries
+    newest first. *)

@@ -11,6 +11,15 @@ module Prng = Legion_util.Prng
 module Event = Legion_obs.Event
 module Recorder = Legion_obs.Recorder
 
+(* The exactly-once cache: (caller host, call id) -> entry, LRU-bounded
+   by [config.dedup_capacity]. *)
+module Dedup = Legion_util.Ordered.Make (struct
+  type t = int * int
+
+  let equal (h, i) (h', i') = Int.equal h h' && Int.equal i i'
+  let hash = Hashtbl.hash
+end)
+
 type admission = {
   max_inflight : int;
   max_queue : int;
@@ -128,7 +137,7 @@ and t = {
   obs : Recorder.t;
   breakers : Breaker.t option;  (* per-destination circuit state *)
   mutable tenants : Tenant.t option;  (* principal registry; None = untenanted *)
-  dedup : (int * int, dedup_entry) Dedup.t option;
+  dedup : dedup_entry Dedup.t option;
       (* (caller host, call id) -> exactly-once entry; None = disabled *)
   mutable next_slot : int;
   mutable next_call : int;
@@ -254,7 +263,7 @@ let create ~sim ~net ~registry ~prng ?(config = default_config) ?obs () =
       breakers = Option.map Breaker.create config.breaker;
       tenants = None;
       dedup =
-        Option.map (fun capacity -> Dedup.create ~capacity)
+        Option.map (fun capacity -> Dedup.create ~capacity ())
           config.dedup_capacity;
       next_slot = 0;
       next_call = 0;
@@ -706,7 +715,7 @@ let on_receive rt host ~src payload =
       let dedup_seen =
         match rt.dedup with
         | None -> None
-        | Some c -> Dedup.find c dedup_key
+        | Some c -> Dedup.promote c dedup_key
       in
       match dedup_seen with
       | Some entry -> (
@@ -765,7 +774,7 @@ let on_receive rt host ~src payload =
                           de_reply = None;
                         }
                       in
-                      Dedup.set c dedup_key entry;
+                      Dedup.add c dedup_key entry;
                       fun r ->
                         (match r with
                         | Error e when Err.is_retryable e ->

@@ -36,14 +36,18 @@ module History = struct
   }
 end
 
+(* Everything the store keeps about one object: its history, newest
+   first, and its commit watermark — the version of its newest
+   committed transactional write, 0 before the first. *)
+type obj = { mutable entries : History.entry list; mutable committed : int }
+
 type t = {
   disks : Disk.t list;
   keep : int;
   hist_cap : int;
   mutable rr : int;
   mutable version : int;
-  hist : History.entry list ref Loid.Table.t;  (* newest first *)
-  committed_mark : int Loid.Table.t;  (* newest committed-txn version *)
+  objects : obj Loid.Table.t;
   verdicts : (string, mark) Hashtbl.t;
       (* (loid/txn) -> resolved verdict. Survives the case where the
          resolution arrives before any write for the pair has landed
@@ -62,8 +66,7 @@ let create ?(keep = 2) ?(hist_cap = 64) ~disks () =
     hist_cap;
     rr = 0;
     version = 0;
-    hist = Loid.Table.create ();
-    committed_mark = Loid.Table.create ();
+    objects = Loid.Table.create ();
     verdicts = Hashtbl.create 64;
   }
 
@@ -73,16 +76,20 @@ let disks t = t.disks
 
 let find_disk t name = List.find_opt (fun d -> String.equal (Disk.name d) name) t.disks
 
-let entries_ref t loid =
-  match Loid.Table.find t.hist loid with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Loid.Table.set t.hist loid r;
-      r
+let delete_file t (opa : Opa.t) =
+  Option.iter (fun d -> Disk.delete d ~key:opa.file) (find_disk t opa.disk)
 
-let mark_version t ~loid =
-  Option.value ~default:0 (Loid.Table.find t.committed_mark loid)
+let drop t (e : History.entry) =
+  delete_file t e.opa;
+  e.available <- false
+
+let obj t loid =
+  match Loid.Table.find t.objects loid with
+  | Some o -> o
+  | None ->
+      let o = { entries = []; committed = 0 } in
+      Loid.Table.set t.objects loid o;
+      o
 
 (* An entry the pruner must not touch: a staged (in-doubt) transaction
    write — recovery may still need it to decide or audit the txn — or
@@ -92,9 +99,8 @@ let mark_version t ~loid =
    compensated ones, only need their history rows — their files are
    droppable. Plain (untagged) checkpoint writes are never protected;
    they age out under [keep]/[hist_cap] exactly as before. *)
-let protected t ~loid (e : History.entry) =
-  e.History.mark = Staged
-  || (e.History.mark = Committed && e.History.version = mark_version t ~loid)
+let protected o (e : History.entry) =
+  e.mark = Staged || (e.mark = Committed && e.version = o.committed)
 
 (* Version files for one LOID are scattered round-robin across the disk
    set; without pruning, every [put] (an explicit store or a periodic
@@ -102,68 +108,36 @@ let protected t ~loid (e : History.entry) =
    version forever. Keep the newest [t.keep] and drop the rest —
    except files whose history entry is {!protected}. Dropped files
    leave their entry behind with [available = false], so the history
-   stays queryable after the bytes are gone. *)
-let prune t ~loid =
-  let entries = entries_ref t loid in
-  let entry_for v =
-    List.find_opt (fun e -> e.History.version = v) !entries
-  in
-  let prefix = Loid.to_string loid ^ ".v" in
-  let version_of file =
-    (* "<loid>.v<N>.opr" -> N *)
-    let tail = String.sub file (String.length prefix)
-        (String.length file - String.length prefix)
-    in
-    match String.index_opt tail '.' with
-    | None -> None
-    | Some dot -> int_of_string_opt (String.sub tail 0 dot)
-  in
-  let versions =
-    List.concat_map
-      (fun d ->
-        List.filter_map
-          (fun key ->
-            if String.starts_with ~prefix key then
-              Option.map (fun v -> (v, d, key)) (version_of key)
-            else None)
-          (Disk.keys d))
-      t.disks
-  in
-  let newest_first =
-    List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a) versions
-  in
+   stays queryable after the bytes are gone. The history is the only
+   index of the object's files — each file on disk is exactly one
+   available entry — so pruning walks it and never lists a disk. *)
+let prune t o =
   (* Only plain checkpoint files consume [keep] slots. Transactional
      snapshots live and die by {!protected} alone — otherwise a burst
      of txn writes would evict the Magistrate's newest checkpoint and
      strand the object's activation record. *)
   let plain_seen = ref 0 in
   List.iter
-    (fun (v, d, key) ->
-      match entry_for v with
-      | Some e when e.History.txn <> None ->
-          if not (protected t ~loid e) then begin
-            Disk.delete d ~key;
-            e.History.available <- false
-          end
-      | Some e ->
-          incr plain_seen;
-          if !plain_seen > t.keep then begin
-            Disk.delete d ~key;
-            e.History.available <- false
-          end
-      | None ->
-          incr plain_seen;
-          if !plain_seen > t.keep then Disk.delete d ~key)
-    newest_first;
+    (fun (e : History.entry) ->
+      if e.available then
+        match e.txn with
+        | Some _ -> if not (protected o e) then drop t e
+        | None ->
+            incr plain_seen;
+            if !plain_seen > t.keep then drop t e)
+    o.entries;
   (* The entry list itself is bounded too: beyond [hist_cap] positions
-     (newest first), unprotected entries are forgotten. *)
+     (newest first), unprotected entries are forgotten once their file
+     is gone. No file is left without an entry, so {!forget} still
+     finds every file. *)
   let rec cap i = function
     | [] -> []
-    | e :: rest ->
-        if i < t.hist_cap || protected t ~loid e then e :: cap (i + 1) rest
+    | (e : History.entry) :: rest ->
+        if i < t.hist_cap || e.available || protected o e then
+          e :: cap (i + 1) rest
         else cap (i + 1) rest
   in
-  entries := cap 0 !entries
+  o.entries <- cap 0 o.entries
 
 let put ?txn t ~loid blob =
   let disk = List.nth t.disks (t.rr mod List.length t.disks) in
@@ -172,7 +146,7 @@ let put ?txn t ~loid blob =
   let file = Printf.sprintf "%s.v%d.opr" (Loid.to_string loid) t.version in
   Disk.write disk ~key:file blob;
   let opa = { Opa.disk = Disk.name disk; file } in
-  let entries = entries_ref t loid in
+  let o = obj t loid in
   (* A transactional put normally stages; but a snapshot landing after
      its transaction was already resolved for this object (the
      coordinator's SaveState replies race its outcome marks) inherits
@@ -187,7 +161,7 @@ let put ?txn t ~loid blob =
             (fun e ->
               e.History.txn = Some id
               && (e.History.mark = Committed || e.History.mark = Compensated))
-            !entries
+            o.entries
         with
         | Some e -> e.History.mark
         | None -> (
@@ -195,12 +169,11 @@ let put ?txn t ~loid blob =
             | Some ((Committed | Compensated) as m) -> m
             | _ -> Staged))
   in
-  entries :=
+  o.entries <-
     { History.version = t.version; opa; txn; mark; available = true }
-    :: !entries;
-  (if mark = Committed && t.version > mark_version t ~loid then
-     Loid.Table.set t.committed_mark loid t.version);
-  prune t ~loid;
+    :: o.entries;
+  if mark = Committed then o.committed <- t.version;
+  prune t o;
   opa
 
 let put_at t (opa : Opa.t) blob =
@@ -216,32 +189,25 @@ let get t (opa : Opa.t) =
   | Some d -> Disk.read d ~key:opa.Opa.file
 
 let remove t ~loid (opa : Opa.t) =
-  match find_disk t opa.Opa.disk with
-  | None -> ()
-  | Some d -> (
-      Disk.delete d ~key:opa.Opa.file;
-      match Loid.Table.find t.hist loid with
-      | None -> ()
-      | Some entries ->
-          List.iter
-            (fun e ->
-              if Opa.equal e.History.opa opa then e.History.available <- false)
-            !entries)
+  delete_file t opa;
+  Option.iter
+    (fun o ->
+      List.iter
+        (fun (e : History.entry) -> if Opa.equal e.opa opa then e.available <- false)
+        o.entries)
+    (Loid.Table.find t.objects loid)
 
 let forget t ~loid =
-  Option.iter
-    (fun entries -> List.iter (fun e -> remove t ~loid e.History.opa) !entries)
-    (Loid.Table.find t.hist loid);
-  Loid.Table.remove t.hist loid;
-  Loid.Table.remove t.committed_mark loid
+  Option.iter (fun o -> List.iter (drop t) o.entries) (Loid.Table.find t.objects loid);
+  Loid.Table.remove t.objects loid
 
 let history t ~loid =
-  match Loid.Table.find t.hist loid with
+  match Loid.Table.find t.objects loid with
   | None -> []
-  | Some entries -> List.rev !entries
+  | Some o -> List.rev o.entries
 
 let history_loids t =
-  let ls = Loid.Table.fold (fun l _ acc -> l :: acc) t.hist [] in
+  let ls = Loid.Table.fold (fun l _ acc -> l :: acc) t.objects [] in
   List.sort
     (fun a b -> String.compare (Loid.to_string a) (Loid.to_string b))
     ls
@@ -256,9 +222,9 @@ let mark_txn t ~loid ~txn mark =
       let key = verdict_key loid txn in
       if not (Hashtbl.mem t.verdicts key) then Hashtbl.add t.verdicts key mark
   | Applied | Staged -> ());
-  match Loid.Table.find t.hist loid with
+  match Loid.Table.find t.objects loid with
   | None -> ()
-  | Some entries ->
+  | Some o ->
       (* Resolution is one-way: only staged entries take the verdict.
          Re-marking with the same verdict is the coordinator's
          idempotent redrive; a contradictory re-resolution cannot flip
@@ -267,7 +233,7 @@ let mark_txn t ~loid ~txn mark =
         (fun e ->
           if e.History.txn = Some txn && e.History.mark = Staged then
             e.History.mark <- mark)
-        !entries;
+        o.entries;
       (if mark = Committed then
          let mv =
            List.fold_left
@@ -275,22 +241,24 @@ let mark_txn t ~loid ~txn mark =
                if e.History.txn = Some txn && e.History.mark = Committed
                then Stdlib.max acc e.History.version
                else acc)
-             0 !entries
+             0 o.entries
          in
-         if mv > mark_version t ~loid then
-           Loid.Table.set t.committed_mark loid mv);
+         o.committed <- Stdlib.max o.committed mv);
       (* Advancing the committed mark (or resolving a staged txn) may
          release previously protected entries; re-prune. *)
-      prune t ~loid
+      prune t o
 
-let last_committed t ~loid = Loid.Table.find t.committed_mark loid
+let last_committed t ~loid =
+  match Loid.Table.find t.objects loid with
+  | Some o when o.committed > 0 -> Some o.committed
+  | Some _ | None -> None
 
 let rewind_to t ~loid ~version =
-  match Loid.Table.find t.hist loid with
+  match Loid.Table.find t.objects loid with
   | None -> Error "rewind: no history for object"
-  | Some entries -> (
+  | Some o -> (
       match
-        List.find_opt (fun e -> e.History.version = version) !entries
+        List.find_opt (fun e -> e.History.version = version) o.entries
       with
       | None -> Error (Printf.sprintf "rewind: no version %d in history" version)
       | Some e when not e.History.available ->

@@ -58,8 +58,11 @@ val create : ?keep:int -> ?hist_cap:int -> disks:Disk.t list -> unit -> t
     retained while staged (in doubt) or while holding the newest
     committed version, and their files are dropped as soon as they are
     neither. [hist_cap] (default 64) bounds the retained history
-    entries per LOID; protected transactional entries are never dropped
-    by either bound.
+    entries per LOID: past it, entries are forgotten only once their
+    file is gone, so the history can exceed the cap by the [keep]
+    newest plain versions when newer transactional entries push them
+    back. Protected transactional entries are never dropped by either
+    bound.
     @raise Invalid_argument on an empty disk list, [keep < 1], or
     [hist_cap < 1]. *)
 
@@ -70,7 +73,8 @@ val put : ?txn:string -> t -> loid:Legion_naming.Loid.t -> string -> Opa.t
     its address, then prunes older versions of the same LOID beyond the
     configured [keep] — repeated stores (periodic checkpoints) keep
     [total_files]/[total_bytes] bounded instead of leaking every
-    superseded version. With [?txn] the new history entry is tagged
+    superseded version. Pruning walks only this object's history, so
+    the cost of a put does not grow with the number of files stored. With [?txn] the new history entry is tagged
     with that transaction id and enters [Staged]; resolve it later with
     {!mark_txn}. If the transaction was already resolved for this
     object, the entry inherits the verdict directly (a late snapshot
@@ -79,7 +83,9 @@ val put : ?txn:string -> t -> loid:Legion_naming.Loid.t -> string -> Opa.t
 val put_at : t -> Opa.t -> string -> (unit, string) result
 (** Overwrite a specific address (re-storing at a known OPA). Fails if
     the disk is not part of this store. Bypasses the history: the entry
-    that minted the OPA keeps describing it. *)
+    that minted the OPA keeps describing it, so the address should be
+    one whose file is still held — a file written at a pruned address
+    is tracked by no available entry and pruning never sees it. *)
 
 val get : t -> Opa.t -> string option
 val remove : t -> loid:Legion_naming.Loid.t -> Opa.t -> unit

@@ -65,10 +65,12 @@ let loid_roundtrip =
       | Error _ -> false)
 
 (* Loid.Ordered against an association-list model kept newest first:
-   [add] drops any old binding and puts the key in front, [remove]
-   drops it. Keys come from a small range so re-adds and removals of
-   present keys are common. *)
-type ordered_op = Add of int * int | Remove of int | Find of int
+   [add] drops any old binding and puts the key in front, [promote]
+   moves a present key to the front, [remove] drops it; with a capacity
+   an absent key added to a full table first drops the model's last
+   (oldest) entry and counts an eviction. Keys come from a small range
+   so re-adds and removals of present keys are common. *)
+type ordered_op = Add of int * int | Remove of int | Find of int | Promote of int
 
 let ordered_op_gen =
   QCheck.Gen.(
@@ -77,39 +79,55 @@ let ordered_op_gen =
         (3, map2 (fun k v -> Add (k, v)) (0 -- 15) nat);
         (2, map (fun k -> Remove k) (0 -- 15));
         (1, map (fun k -> Find k) (0 -- 15));
+        (1, map (fun k -> Promote k) (0 -- 15));
       ])
 
 let print_ordered_op = function
   | Add (k, v) -> Printf.sprintf "Add(%d,%d)" k v
   | Remove k -> Printf.sprintf "Remove %d" k
   | Find k -> Printf.sprintf "Find %d" k
+  | Promote k -> Printf.sprintf "Promote %d" k
 
 let ordered_matches_model =
   let key i = Loid.make ~class_id:3L ~class_specific:(Int64.of_int i) () in
   QCheck.Test.make ~name:"ordered table matches list model" ~count:500
     (QCheck.make
-       ~print:QCheck.Print.(list print_ordered_op)
-       QCheck.Gen.(list_size (0 -- 60) ordered_op_gen))
-    (fun ops ->
-      let t = Loid.Ordered.create () in
+       ~print:QCheck.Print.(pair (option int) (list print_ordered_op))
+       QCheck.Gen.(
+         pair (opt ~ratio:0.5 (0 -- 6)) (list_size (0 -- 60) ordered_op_gen)))
+    (fun (capacity, ops) ->
+      let t = Loid.Ordered.create ?capacity () in
+      let evictions = ref 0 in
+      let without k = List.filter (fun (l, _) -> not (Loid.equal l (key k))) in
+      let lookup k model =
+        List.find_map (fun (l, v) -> if Loid.equal l (key k) then Some v else None) model
+      in
       let step model op =
         let model =
           match op with
-          | Add (k, v) ->
+          | Add (k, v) -> (
               Loid.Ordered.add t (key k) v;
-              (key k, v) :: List.filter (fun (l, _) -> not (Loid.equal l (key k))) model
+              let present = lookup k model <> None in
+              match capacity with
+              | Some 0 when not present -> model
+              | Some c when (not present) && List.length model >= c ->
+                  incr evictions;
+                  (key k, v) :: List.filteri (fun i _ -> i < c - 1) model
+              | _ -> (key k, v) :: without k model)
           | Remove k ->
               Loid.Ordered.remove t (key k);
-              List.filter (fun (l, _) -> not (Loid.equal l (key k))) model
+              without k model
           | Find k ->
-              let expect =
-                List.find_map
-                  (fun (l, v) -> if Loid.equal l (key k) then Some v else None)
-                  model
-              in
-              if Loid.Ordered.find t (key k) <> expect then
+              if Loid.Ordered.find t (key k) <> lookup k model then
                 QCheck.Test.fail_reportf "find %d disagrees" k;
               model
+          | Promote k -> (
+              let expect = lookup k model in
+              if Loid.Ordered.promote t (key k) <> expect then
+                QCheck.Test.fail_reportf "promote %d disagrees" k;
+              match expect with
+              | Some v -> (key k, v) :: without k model
+              | None -> model)
         in
         let listed = Loid.Ordered.to_list t in
         let folded = List.rev (Loid.Ordered.fold (fun l v acc -> (l, v) :: acc) t []) in
@@ -121,6 +139,8 @@ let ordered_matches_model =
           QCheck.Test.fail_report "order or contents differ from the model";
         if Loid.Ordered.length t <> List.length model then
           QCheck.Test.fail_report "length differs from the model";
+        if Loid.Ordered.evictions t <> !evictions then
+          QCheck.Test.fail_report "evictions differ from the model";
         if not (same (Loid.Ordered.to_list (Loid.Ordered.of_list listed)) model) then
           QCheck.Test.fail_report "of_list is not the inverse of to_list";
         model
@@ -388,7 +408,7 @@ let test_cache_clear_resets_stats () =
   Cache.clear c;
   Alcotest.(check int) "emptied" 0 (Cache.length c);
   (* A cleared cache is statistically indistinguishable from a fresh
-     one: lookups, hits, evictions and the LRU clock all reset. *)
+     one: lookups, hits and evictions all reset. *)
   Alcotest.(check int) "lookups reset" 0 (Cache.lookups c);
   Alcotest.(check int) "hits reset" 0 (Cache.hits c);
   Alcotest.(check int) "evictions reset" 0 (Cache.evictions c);
@@ -505,6 +525,130 @@ let test_loid_map_set () =
   let s = Loid.Set.of_list [ l1; l2; l1 ] in
   Alcotest.(check int) "set dedups" 2 (Loid.Set.cardinal s)
 
+(* Cache against an association-list LRU model kept most recent first:
+   [add] and the hits of [find] and [find_refresh] move the LOID to the
+   front, [mem] leaves the order alone, and adding an absent LOID to a
+   full cache evicts the model's last entry. Checking membership of
+   every LOID after each step pins down which entry each eviction
+   chose. Variants give one LOID several distinct bindings, so the
+   exact forms ([invalidate_exact], the refresh's stale binding) both
+   match and miss. *)
+type cache_op =
+  | C_add of int * int
+  | C_find of int
+  | C_refresh of int * int
+  | C_mem of int
+  | C_invalidate of int
+  | C_exact of int * int
+
+let cache_op_gen =
+  QCheck.Gen.(
+    let kv f = map2 f (0 -- 7) (0 -- 2) in
+    frequency
+      [
+        (4, kv (fun k v -> C_add (k, v)));
+        (3, map (fun k -> C_find k) (0 -- 7));
+        (2, kv (fun k v -> C_refresh (k, v)));
+        (1, map (fun k -> C_mem k) (0 -- 7));
+        (1, map (fun k -> C_invalidate k) (0 -- 7));
+        (1, kv (fun k v -> C_exact (k, v)));
+      ])
+
+let print_cache_op = function
+  | C_add (k, v) -> Printf.sprintf "add(%d,%d)" k v
+  | C_find k -> Printf.sprintf "find %d" k
+  | C_refresh (k, v) -> Printf.sprintf "refresh(%d,%d)" k v
+  | C_mem k -> Printf.sprintf "mem %d" k
+  | C_invalidate k -> Printf.sprintf "invalidate %d" k
+  | C_exact (k, v) -> Printf.sprintf "exact(%d,%d)" k v
+
+let cache_matches_lru_model =
+  let variant k v =
+    Binding.make ~loid:(loid_of k)
+      ~address:(Address.singleton (Address.Sim { host = k; slot = v }))
+      ()
+  in
+  QCheck.Test.make ~name:"cache matches LRU list model" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list print_cache_op))
+       QCheck.Gen.(pair (1 -- 6) (list_size (0 -- 80) cache_op_gen)))
+    (fun (cap, ops) ->
+      let c = Cache.create ~capacity:cap () in
+      let evictions = ref 0 and lookups = ref 0 and hits = ref 0 in
+      let without k = List.filter (fun (k', _) -> k' <> k) in
+      let served what got expect =
+        let same =
+          match (got, expect) with
+          | Some b, Some v -> Binding.equal b v
+          | None, None -> true
+          | _ -> false
+        in
+        if not same then QCheck.Test.fail_reportf "%s disagrees with the model" what
+      in
+      let hit k model =
+        incr lookups;
+        match List.assoc_opt k model with
+        | Some b ->
+            incr hits;
+            (Some b, (k, b) :: without k model)
+        | None -> (None, model)
+      in
+      let step model op =
+        let model =
+          match op with
+          | C_add (k, v) ->
+              Cache.add c ~now:0.0 (variant k v);
+              if List.mem_assoc k model || List.length model < cap then
+                (k, variant k v) :: without k model
+              else begin
+                incr evictions;
+                (k, variant k v) :: List.filteri (fun i _ -> i < cap - 1) model
+              end
+          | C_find k ->
+              let expect, model = hit k model in
+              served "find" (Cache.find c ~now:0.0 (loid_of k)) expect;
+              model
+          | C_refresh (k, v) ->
+              let stale = variant k v in
+              let got = Cache.find_refresh c ~now:0.0 ~stale in
+              let expect, model =
+                match List.assoc_opt k model with
+                | Some b when Binding.equal b stale ->
+                    incr lookups;
+                    (None, without k model)
+                | _ -> hit k model
+              in
+              served "find_refresh" got expect;
+              model
+          | C_mem k ->
+              if Cache.mem c ~now:0.0 (loid_of k) <> List.mem_assoc k model then
+                QCheck.Test.fail_reportf "mem %d disagrees with the model" k;
+              model
+          | C_invalidate k ->
+              Cache.invalidate c (loid_of k);
+              without k model
+          | C_exact (k, v) -> (
+              Cache.invalidate_exact c (variant k v);
+              match List.assoc_opt k model with
+              | Some b when Binding.equal b (variant k v) -> without k model
+              | _ -> model)
+        in
+        for k = 0 to 7 do
+          if Cache.mem c ~now:0.0 (loid_of k) <> List.mem_assoc k model then
+            QCheck.Test.fail_reportf "after %s: LOID %d %s" (print_cache_op op) k
+              (if List.mem_assoc k model then "evicted early" else "kept wrongly")
+        done;
+        if Cache.length c <> List.length model then
+          QCheck.Test.fail_report "length differs from the model";
+        if Cache.evictions c <> !evictions then
+          QCheck.Test.fail_report "evictions differ from the model";
+        if Cache.lookups c <> !lookups || Cache.hits c <> !hits then
+          QCheck.Test.fail_report "lookups or hits differ from the model";
+        model
+      in
+      ignore (List.fold_left step [] ops);
+      true)
+
 let cache_never_exceeds_capacity =
   QCheck.Test.make ~name:"cache never exceeds capacity" ~count:200
     QCheck.(pair (int_range 1 8) (small_list (int_range 0 20)))
@@ -571,6 +715,7 @@ let () =
           QCheck_alcotest.to_alcotest cache_never_exceeds_capacity;
           QCheck_alcotest.to_alcotest cache_never_returns_expired;
           QCheck_alcotest.to_alcotest cache_stats_invariants;
+          QCheck_alcotest.to_alcotest cache_matches_lru_model;
         ] );
     ]
 

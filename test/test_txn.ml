@@ -565,10 +565,29 @@ let test_staged_survives_prune () =
     (Printf.sprintf "files bounded after resolution (%d)" files)
     true (files <= 2)
 
+(* The history cap must not forget an entry whose file is still on
+   disk: [forget] finds an object's files only through its history. Ten
+   committed txn puts push the two plain entries past [hist_cap] while
+   their files are the newest plain versions, so keep holds them. *)
+let test_forget_after_history_cap () =
+  let s = mk_store ~keep:2 ~hist_cap:8 () in
+  let l = loid_of 4 in
+  for i = 1 to 2 do
+    ignore (Persistent.put s ~loid:l (Printf.sprintf "plain%d" i))
+  done;
+  for i = 1 to 10 do
+    let txn = Printf.sprintf "t%d" i in
+    ignore (Persistent.put ~txn s ~loid:l "snapshot");
+    Persistent.mark_txn s ~loid:l ~txn Persistent.Committed
+  done;
+  Persistent.forget s ~loid:l;
+  Alcotest.(check int) "no file outlives forget" 0 (Persistent.total_files s)
+
 (* QCheck: under any interleaving of plain puts, txn puts, commits and
    compensations, (a) staged entries are never dropped, (b) the newest
-   committed snapshot (at the watermark) keeps its file, and (c) the
-   file count stays bounded by plain-keep slots + protected entries. *)
+   committed snapshot (at the watermark) keeps its file, (c) the file
+   count stays bounded by plain-keep slots + protected entries, and (d)
+   the files on disk are exactly the available history entries. *)
 let history_prune_prop =
   let open QCheck in
   let op_gen =
@@ -677,7 +696,24 @@ let history_prune_prop =
           let bound = (nloids * keep) + !protected_total in
           if Persistent.total_files s > bound then
             Test.fail_reportf "file count %d exceeds bound %d"
-              (Persistent.total_files s) bound)
+              (Persistent.total_files s) bound;
+          let on_disk =
+            List.concat_map
+              (fun d -> List.map (fun k -> (Disk.name d, k)) (Disk.keys d))
+              (Persistent.disks s)
+          in
+          let available =
+            List.concat_map
+              (fun loid ->
+                List.filter_map
+                  (fun (e : Persistent.History.entry) ->
+                    if e.available then Some (e.opa.disk, e.opa.file) else None)
+                  (Persistent.history s ~loid))
+              (Array.to_list loids)
+          in
+          if List.sort compare on_disk <> List.sort compare available then
+            Test.fail_reportf "%d files on disk, %d available entries"
+              (List.length on_disk) (List.length available))
         ops;
       true)
 
@@ -736,6 +772,8 @@ let () =
             test_history_basics;
           Alcotest.test_case "staged writes survive checkpoint bursts" `Quick
             test_staged_survives_prune;
+          Alcotest.test_case "forget removes files past the history cap"
+            `Quick test_forget_after_history_cap;
           Alcotest.test_case "WAL blobs ride beside version files" `Quick
             test_named_blobs;
           QCheck_alcotest.to_alcotest history_prune_prop;
