@@ -38,7 +38,7 @@ type site = {
 
 type t = {
   sim : Engine.t;
-  net : Network.t;
+  net : Legion_rt.Msg.t Network.t;
   rt : Runtime.t;
   registry : Counter.Registry.r;
   prng : Prng.t;
@@ -179,7 +179,10 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
       ~clock:(fun () -> Engine.now sim)
       ()
   in
-  let net = Network.create ~sim ~prng:(Prng.split prng) ?latency ~obs () in
+  let net =
+    Network.create ~sim ~prng:(Prng.split prng) ~codec:Legion_rt.Msg.codec
+      ?latency ~obs ()
+  in
   let rt =
     Runtime.create ~sim ~net ~registry ~prng:(Prng.split prng) ?config:rt_config
       ~obs ()

@@ -19,11 +19,20 @@ type latency = {
 let default_latency =
   { intra_host = 5e-6; intra_site = 5e-4; inter_site = 4e-2; jitter = 0.1 }
 
-type host = {
+type 'm codec = {
+  size : 'm -> int;
+  to_value : 'm -> Value.t;
+  of_value : Value.t -> 'm option;
+}
+
+let value_codec =
+  { size = Value.size_bytes; to_value = Fun.id; of_value = Option.some }
+
+type 'm host = {
   site : site_id;
   h_name : string;
   mutable up : bool;
-  mutable receiver : (src:host_id -> Value.t -> unit) option;
+  mutable receiver : (src:host_id -> 'm -> unit) option;
 }
 
 (* Per-site host index: a growable int vector, appended in add_host
@@ -34,11 +43,14 @@ type hostvec = { mutable ids : int array; mutable n : int }
    (see Engine.post_token), so a delivery costs no closure and no
    fresh record. [d_raw] is the sealed-and-mutated byte form a payload
    selected for the corruption fault travels as; [None] — the fast
-   path — carries the value unserialized. *)
-type delivery = {
+   path — carries the payload itself. A free slot keeps its last
+   payload until reuse (there is no dummy ['m] to clear it with); the
+   pool never holds more slots than messages were ever in flight at
+   once. *)
+type 'm delivery = {
   mutable d_src : host_id;
   mutable d_dst : host_id;
-  mutable d_payload : Value.t;
+  mutable d_payload : 'm;
   mutable d_raw : string option;
 }
 
@@ -60,16 +72,17 @@ type spike = {
   sp_until : float;
 }
 
-type t = {
+type 'm t = {
   sim : Legion_sim.Engine.t;
   prng : Prng.t;
   latency : latency;
+  codec : 'm codec;
   mutable sites : string array;
   mutable site_hosts : hostvec array;  (* parallel to [sites] *)
-  mutable host_tbl : host array;
+  mutable host_tbl : 'm host array;
   mutable n_sites : int;
   mutable n_hosts : int;
-  mutable deliveries : delivery array;  (* token-indexed in-flight pool *)
+  mutable deliveries : 'm delivery array;  (* token-indexed in-flight pool *)
   mutable free_slots : int array;  (* free-slot stack into [deliveries] *)
   mutable free_len : int;
   mutable n_deliveries : int;  (* slots ever handed out *)
@@ -115,9 +128,7 @@ let rec deliver_token t tok =
   let d = t.deliveries.(tok) in
   let src = d.d_src and dst = d.d_dst and payload = d.d_payload in
   let raw = d.d_raw in
-  d.d_payload <- Value.Unit;
   d.d_raw <- None;
-  (* drop the reference *)
   if t.free_len = Array.length t.free_slots then begin
     let bigger = Array.make (Stdlib.max 8 (2 * t.free_len)) 0 in
     Array.blit t.free_slots 0 bigger 0 t.free_len;
@@ -137,14 +148,19 @@ let rec deliver_token t tok =
             f ~src payload
         | Some bytes -> (
             (* End-to-end integrity check on a payload that travelled as
-               real (adversary-mutated) bytes: verify fail-closed —
-               a checksum mismatch or undecodable body is a counted
-               drop, never an exception or a garbled delivery. *)
-            match Legion_wire.Envelope.unseal bytes with
-            | Ok v ->
+               real (adversary-mutated) bytes: verify fail-closed — a
+               checksum mismatch, an undecodable body, or a body that
+               is not a well-formed payload is a counted drop, never an
+               exception or a garbled delivery. *)
+            match
+              Option.bind
+                (Result.to_option (Legion_wire.Envelope.unseal bytes))
+                t.codec.of_value
+            with
+            | Some m ->
                 emit t ~host:dst (Event.Deliver { src; dst });
-                f ~src v
-            | Error _ -> drop_msg t ~src ~dst ~at:dst Event.Corrupted))
+                f ~src m
+            | None -> drop_msg t ~src ~dst ~at:dst Event.Corrupted))
 
 and drop_msg t ~src ~dst ~at reason =
   t.dropped <- t.dropped + 1;
@@ -164,12 +180,13 @@ and emit t ~host kind =
   | None -> ()
   | Some r -> Recorder.emit r ~host ~site:t.host_tbl.(host).site kind
 
-let create ~sim ~prng ?(latency = default_latency) ?obs () =
+let create ~sim ~prng ~codec ?(latency = default_latency) ?obs () =
   let t =
   {
     sim;
     prng;
     latency;
+    codec;
     sites = Array.make 8 "";
     site_hosts = Array.init 8 (fun _ -> new_hostvec ());
     host_tbl = [||];
@@ -466,7 +483,7 @@ let transmit t ~src ~dst ?raw payload =
    flip 1–3 bytes anywhere in the frame (header included). The receiver
    side of [deliver_token] verifies and fail-closed-drops it. *)
 let corrupt_bytes t payload ~src ~dst =
-  let sealed = Legion_wire.Envelope.seal payload in
+  let sealed = Legion_wire.Envelope.seal (t.codec.to_value payload) in
   let n = String.length sealed in
   let b = Bytes.of_string sealed in
   let mutations = 1 + Prng.int t.prng 3 in
@@ -482,8 +499,8 @@ let corrupt_bytes t payload ~src ~dst =
 let send t ~src ~dst payload =
   check_host t src;
   check_host t dst;
-  (match t.tap with Some f -> f ~src ~dst payload | None -> ());
-  let size = Value.size_bytes payload in
+  (match t.tap with Some f -> f ~src ~dst (t.codec.to_value payload) | None -> ());
+  let size = t.codec.size payload in
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size;
   let tier =

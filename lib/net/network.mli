@@ -10,9 +10,14 @@
     Delivery is best-effort datagrams: a message to a down host, a
     message lost to the configured drop rate, or a message to a host with
     no receiver vanishes silently — reliability is the RPC layer's job,
-    exactly as Legion layers itself over "standard protocols" (§3.3). *)
+    exactly as Legion layers itself over "standard protocols" (§3.3).
 
-type t
+    The network is polymorphic in its payload ['m]: messages travel as
+    typed values, and the payload's {!codec} is used only where bytes or
+    a generic view exist — byte accounting, the {!set_tap} observer and
+    the corruption fault's sealed frames. *)
+
+type 'm t
 
 type host_id = int
 type site_id = int
@@ -32,65 +37,84 @@ type latency = {
 val default_latency : latency
 (** 5µs / 0.5ms / 40ms, 10% jitter — a 1996-flavoured internet. *)
 
+type 'm codec = {
+  size : 'm -> int;
+      (** Encoded size in bytes, counted by {!bytes_sent}; must equal
+          [Legion_wire.Value.size_bytes (to_value m)]. *)
+  to_value : 'm -> Legion_wire.Value.t;
+      (** The edge encoding: what the tap sees and the corruption fault
+          seals. *)
+  of_value : Legion_wire.Value.t -> 'm option;
+      (** Inverse of [to_value]; [None] on a value that is not a
+          payload. Must not raise. *)
+}
+
+val value_codec : Legion_wire.Value.t codec
+(** The identity codec, for networks that carry bare values. *)
+
 val create :
   sim:Legion_sim.Engine.t ->
   prng:Legion_util.Prng.t ->
+  codec:'m codec ->
   ?latency:latency ->
   ?obs:Legion_obs.Recorder.t ->
   unit ->
-  t
+  'm t
 (** [obs], when given, receives a structured event per message
     ([Send], then exactly one of [Deliver]/[Drop]) plus a ["net.delay"]
-    latency sample per scheduled delivery. *)
+    latency sample per scheduled delivery. [codec] is called only by
+    {!send}'s byte count ([size]), while a tap is installed
+    ([to_value]), and for transmissions the corruption fault selects
+    ([to_value] to seal, [of_value] after unsealing). *)
 
-val sim : t -> Legion_sim.Engine.t
+val sim : _ t -> Legion_sim.Engine.t
 
 (** {1 Topology} *)
 
-val add_site : t -> name:string -> site_id
-val add_host : t -> site:site_id -> name:string -> host_id
+val add_site : _ t -> name:string -> site_id
+val add_host : _ t -> site:site_id -> name:string -> host_id
 
-val site_count : t -> int
-val host_count : t -> int
-val hosts : t -> host_id list
-val hosts_of_site : t -> site_id -> host_id list
-val site_of : t -> host_id -> site_id
-val host_name : t -> host_id -> string
-val site_name : t -> site_id -> string
+val site_count : _ t -> int
+val host_count : _ t -> int
+val hosts : _ t -> host_id list
+val hosts_of_site : _ t -> site_id -> host_id list
+val site_of : _ t -> host_id -> site_id
+val host_name : _ t -> host_id -> string
+val site_name : _ t -> site_id -> string
 
 (** {1 Failure injection} *)
 
-val set_host_up : t -> host_id -> bool -> unit
-val host_is_up : t -> host_id -> bool
+val set_host_up : _ t -> host_id -> bool -> unit
+val host_is_up : _ t -> host_id -> bool
 
-val set_host_watcher : t -> (host_id -> up:bool -> unit) option -> unit
+val set_host_watcher : _ t -> (host_id -> up:bool -> unit) option -> unit
 (** Observe host up/down {e transitions} (calls that do not change the
     state fire nothing). The runtime installs one to reap fenced zombie
     placements when a crashed host reboots. [None] removes it. *)
 
-val add_host_watcher : t -> (host_id -> up:bool -> unit) -> watcher
+val add_host_watcher : _ t -> (host_id -> up:bool -> unit) -> watcher
 (** Append an additional transition watcher without disturbing the one
     installed through {!set_host_watcher} (the runtime's zombie reaper).
     The replica-set repair machinery uses this to notice replica hosts
     going down and coming back. Watchers fire in registration order;
     deregister with {!remove_watcher}. *)
 
-val remove_watcher : t -> watcher -> unit
+val remove_watcher : _ t -> watcher -> unit
 (** Deregister a watcher added with {!add_host_watcher} or
     {!add_partition_watcher}. Idempotent — removing an already-removed
     handle is a no-op. Machinery with a teardown path ([Repair.stop])
     must remove its watchers, or repeated setup/teardown cycles leak
     closures that keep firing against dead state. *)
 
-val watcher_count : t -> int
+val watcher_count : _ t -> int
 (** Currently registered removable watchers (host + partition), for
     leak regression tests. *)
 
-val set_drop_rate : t -> float -> unit
+val set_drop_rate : _ t -> float -> unit
 (** Fraction of messages lost uniformly at random; default [0.].
     @raise Invalid_argument on NaN or a value outside [0,1]. *)
 
-val drop_rate : t -> float
+val drop_rate : _ t -> float
 (** The currently configured uniform loss fraction. *)
 
 (** {2 Adversarial faults}
@@ -101,7 +125,7 @@ val drop_rate : t -> float
     ([Duplicate]/[Reorder]/[CorruptInject]), and keeps its own counter.
     All default off, leaving the pre-adversary behaviour untouched. *)
 
-val set_duplicate_rate : t -> float -> unit
+val set_duplicate_rate : _ t -> float -> unit
 (** Probability that a successfully transmitted message is re-injected
     as a second, independent copy with its own latency draw — so the
     copy may overtake the original. The RPC layer's at-least-once
@@ -109,9 +133,9 @@ val set_duplicate_rate : t -> float -> unit
     makes the network itself produce them.
     @raise Invalid_argument on NaN or a value outside [0,1]. *)
 
-val duplicate_rate : t -> float
+val duplicate_rate : _ t -> float
 
-val set_reorder : t -> rate:float -> window:float -> unit
+val set_reorder : _ t -> rate:float -> window:float -> unit
 (** With probability [rate], hold a transmission back by an extra
     uniform draw from [0, window) seconds beyond its modelled latency —
     an adversarial permutation of deliveries within the window. [rate]
@@ -119,22 +143,23 @@ val set_reorder : t -> rate:float -> window:float -> unit
     @raise Invalid_argument on a NaN/out-of-range rate or a negative or
     non-finite window. *)
 
-val reorder : t -> float * float
+val reorder : _ t -> float * float
 (** The configured (rate, window). *)
 
-val set_corrupt_rate : t -> float -> unit
+val set_corrupt_rate : _ t -> float -> unit
 (** Probability that a transmitted message's payload is serialised
-    through the checksummed {!Legion_wire.Envelope} and has 1–3 seeded
-    bytes flipped in flight. The receiving side verifies the envelope
-    on delivery: any mismatch or decode failure is a counted,
+    ([codec.to_value]) through the checksummed {!Legion_wire.Envelope}
+    and has 1–3 seeded bytes flipped in flight. The receiving side
+    verifies the envelope on delivery: a checksum mismatch, a body that
+    does not decode, or one [codec.of_value] rejects is a counted,
     fail-closed drop ([Drop] with reason [Corrupted]) — never an
     exception, never a garbled delivery.
     @raise Invalid_argument on NaN or a value outside [0,1]. *)
 
-val corrupt_rate : t -> float
+val corrupt_rate : _ t -> float
 
 val set_delay_spike :
-  t -> a:site_id -> b:site_id -> factor:float -> until_:float -> unit
+  _ t -> a:site_id -> b:site_id -> factor:float -> until_:float -> unit
 (** Multiply the base latency of messages between sites [a] and [b]
     (either direction; [a = b] slows that site's intra-site and
     intra-host traffic) by [factor] until virtual time [until_].
@@ -143,17 +168,17 @@ val set_delay_spike :
     @raise Invalid_argument on a bad site id, a [factor] below 1 or
     non-finite, or a NaN [until_]. *)
 
-val clear_delay_spikes : t -> unit
+val clear_delay_spikes : _ t -> unit
 
-val set_partitioned : t -> site_id -> site_id -> bool -> unit
+val set_partitioned : _ t -> site_id -> site_id -> bool -> unit
 (** Sever (or heal) the link between two sites: messages crossing it in
     either direction are silently lost. Intra-site traffic is never
     partitioned. Idempotent. *)
 
-val is_partitioned : t -> site_id -> site_id -> bool
+val is_partitioned : _ t -> site_id -> site_id -> bool
 
 val add_partition_watcher :
-  t -> (site_id -> site_id -> cut:bool -> unit) -> watcher
+  _ t -> (site_id -> site_id -> cut:bool -> unit) -> watcher
 (** Observe partition {e transitions}: the watcher fires with
     [~cut:true] when a link is newly severed and [~cut:false] when it
     heals (idempotent re-cuts and re-heals fire nothing). The
@@ -164,35 +189,37 @@ val add_partition_watcher :
 
 (** {1 Messaging} *)
 
-val set_receiver : t -> host_id -> (src:host_id -> Legion_wire.Value.t -> unit) -> unit
+val set_receiver : 'm t -> host_id -> (src:host_id -> 'm -> unit) -> unit
 (** Install the host's delivery upcall (the runtime does this). *)
 
-val send : t -> src:host_id -> dst:host_id -> Legion_wire.Value.t -> unit
+val send : 'm t -> src:host_id -> dst:host_id -> 'm -> unit
 (** Deliver the payload to [dst]'s receiver after the modelled latency.
     Silently lost when either endpoint is down at the relevant instant,
     when dropped, or when [dst] has no receiver. *)
 
-val set_tap : t -> (src:host_id -> dst:host_id -> Legion_wire.Value.t -> unit) option -> unit
+val set_tap : _ t -> (src:host_id -> dst:host_id -> Legion_wire.Value.t -> unit) option -> unit
 (** Observe every send attempt (before loss/partition filtering) —
-    protocol debugging and test instrumentation. [None] removes it. *)
+    protocol debugging and test instrumentation. The observer sees the
+    payload's edge encoding ([codec.to_value]), which is built only
+    while a tap is installed. [None] removes it. *)
 
-val set_obs : t -> Legion_obs.Recorder.t option -> unit
+val set_obs : _ t -> Legion_obs.Recorder.t option -> unit
 (** Attach or detach the structured-event recorder after creation. *)
 
-val obs : t -> Legion_obs.Recorder.t option
+val obs : _ t -> Legion_obs.Recorder.t option
 
-val latency_between : t -> host_id -> host_id -> float
+val latency_between : _ t -> host_id -> host_id -> float
 (** Mean one-way latency (jitter excluded). *)
 
 (** {1 Accounting} *)
 
-val messages_sent : t -> int
-val bytes_sent : t -> int
+val messages_sent : _ t -> int
+val bytes_sent : _ t -> int
 
-val messages_by_tier : t -> int * int * int
+val messages_by_tier : _ t -> int * int * int
 (** (intra-host, intra-site, inter-site) message counts. *)
 
-val messages_dropped : t -> int
+val messages_dropped : _ t -> int
 (** Messages lost for any reason — the sum of the {!drop_causes}. *)
 
 type drop_causes = {
@@ -205,15 +232,15 @@ type drop_causes = {
           corruption ({!set_corrupt_rate}). *)
 }
 
-val drop_causes : t -> drop_causes
+val drop_causes : _ t -> drop_causes
 (** Per-cause split of {!messages_dropped}. *)
 
-val messages_duplicated : t -> int
+val messages_duplicated : _ t -> int
 (** Extra copies injected by {!set_duplicate_rate}. *)
 
-val messages_reordered : t -> int
+val messages_reordered : _ t -> int
 (** Transmissions held back by {!set_reorder}. *)
 
-val messages_corrupted : t -> int
+val messages_corrupted : _ t -> int
 (** Payloads byte-mutated in flight by {!set_corrupt_rate} (counted at
     injection; the resulting receive-side drops are [by_corruption]). *)

@@ -77,12 +77,14 @@ type t =
           answer) in that it carries the judged principal for per-tenant
           attribution. *)
   | Corrupt of string
-      (** The payload failed end-to-end integrity verification — a
-          checksum mismatch or an undecodable envelope, counted and
-          dropped fail-closed by the receiver. Classified as a delivery
-          failure: the message never reached the destination object, so
-          retransmission (and, at the comm layer, rebind-and-retry)
-          is the correct response, exactly as for a lost datagram. *)
+      (** The payload failed end-to-end integrity verification.
+          Classified as a delivery failure: the message never reached
+          the destination object, so retransmission (and, at the comm
+          layer, rebind-and-retry) is the correct response, exactly as
+          for a lost datagram. The simulated network never surfaces it
+          — a frame that fails its seal or does not decode to a message
+          is a counted [Corrupted] drop — but it stays in the error
+          codec (["crp"]) so the encoding keeps its full taxonomy. *)
   | Internal of string
 
 val is_delivery_failure : t -> bool

@@ -50,8 +50,8 @@ let default_config =
     dedup_capacity = Some 4096;
   }
 
-type call = { meth : string; args : Value.t list; env : Env.t }
-type reply = (Value.t, Err.t) result
+type call = Msg.call = { meth : string; args : Value.t list; env : Env.t }
+type reply = Msg.reply
 
 (* Exactly-once effects: one entry per (caller host, call id) the
    runtime has started executing. [de_reply = None] while the handler
@@ -123,7 +123,7 @@ and pending = {
 
 and t = {
   sim : Engine.t;
-  net : Network.t;
+  net : Msg.t Network.t;
   registry : Counter.Registry.r;
   prng : Prng.t;
   config : config;
@@ -287,109 +287,6 @@ let obs rt = rt.obs
 let mark_dead rt loid =
   if not (Loid.Table.mem rt.dead_since loid) then
     Loid.Table.set rt.dead_since loid (now rt)
-
-(* ------------------------------------------------------------------ *)
-(* Wire format of calls and replies.                                   *)
-
-let encode_call ~id ~src_loid ~src_host ~dst_loid ~dst_slot c =
-  Value.Record
-    [
-      ("k", Value.Str "c");
-      ("id", Value.Int id);
-      ("sl", Loid.to_value src_loid);
-      ("sh", Value.Int src_host);
-      ("dl", Loid.to_value dst_loid);
-      ("ds", Value.Int dst_slot);
-      ("m", Value.Str c.meth);
-      ("a", Value.List c.args);
-      ("e", Env.to_value c.env);
-    ]
-
-let encode_reply ~id (r : reply) =
-  match r with
-  | Ok v ->
-      Value.Record [ ("k", Value.Str "r"); ("id", Value.Int id); ("ok", Value.Bool true); ("v", v) ]
-  | Error e ->
-      Value.Record
-        [
-          ("k", Value.Str "r");
-          ("id", Value.Int id);
-          ("ok", Value.Bool false);
-          ("v", Err.to_value e);
-        ]
-
-type incoming =
-  | In_call of {
-      id : int;
-      src_loid : Loid.t;
-      src_host : int;
-      dst_loid : Loid.t;
-      dst_slot : int;
-      call : call;
-    }
-  | In_reply of { id : int; reply : reply }
-  | In_bounce of { id : int; src_host : int; err : Err.t }
-      (* A recognisable call whose body would not decode: bounce the
-         typed error back instead of leaving the caller to time out. *)
-  | In_garbage of string
-
-let ( let* ) r f = Result.bind r f
-
-let decode_incoming v : incoming =
-  let field_err e = Format.asprintf "%a" Value.pp_error e in
-  let get name conv = Result.map_error field_err (Result.bind (Value.field v name) conv) in
-  let parse =
-    let* kind = get "k" Value.to_str in
-    match kind with
-    | "c" ->
-        let* id = get "id" Value.to_int in
-        let* src_loid = Result.bind (Result.map_error field_err (Value.field v "sl")) Loid.of_value in
-        let* src_host = get "sh" Value.to_int in
-        let* dst_loid = Result.bind (Result.map_error field_err (Value.field v "dl")) Loid.of_value in
-        let* dst_slot = get "ds" Value.to_int in
-        let* meth = get "m" Value.to_str in
-        let* args =
-          match Value.field v "a" with
-          | Ok (Value.List args) -> Ok args
-          | Ok _ -> Error "call args not a list"
-          | Error e -> Error (field_err e)
-        in
-        let* env = Result.bind (Result.map_error field_err (Value.field v "e")) Env.of_value in
-        Ok
-          (In_call
-             { id; src_loid; src_host; dst_loid; dst_slot; call = { meth; args; env } })
-    | "r" ->
-        let* id = get "id" Value.to_int in
-        let* ok = get "ok" Value.to_bool in
-        let* payload = Result.map_error field_err (Value.field v "v") in
-        if ok then Ok (In_reply { id; reply = Ok payload })
-        else
-          let* e = Err.of_value payload in
-          Ok (In_reply { id; reply = Error e })
-    | other -> Error (Printf.sprintf "unknown message kind %S" other)
-  in
-  match parse with
-  | Ok msg -> msg
-  | Error e -> (
-      (* Fail-closed salvage of a partially-decodable frame: when the
-         kind and correlation id still parse, surface the typed
-         [Err.Corrupt] — a reply-shaped frame fails the caller's
-         pending call promptly, a call-shaped frame is bounced back —
-         instead of silently burning the caller's timeout. Anything
-         less is garbage and is ignored (never an exception). *)
-      let int_field name =
-        match Value.field_opt v name with
-        | Some f -> Result.to_option (Value.to_int f)
-        | None -> None
-      in
-      match (Value.field_opt v "k", int_field "id") with
-      | Some (Value.Str "r"), Some id ->
-          In_reply { id; reply = Error (Err.Corrupt e) }
-      | Some (Value.Str "c"), Some id -> (
-          match int_field "sh" with
-          | Some src_host -> In_bounce { id; src_host; err = Err.Corrupt e }
-          | None -> In_garbage e)
-      | _ -> In_garbage e)
 
 (* ------------------------------------------------------------------ *)
 (* Breaker bookkeeping.                                                *)
@@ -686,13 +583,9 @@ let deny_reply rt proc ~meth ~env ~reason =
   let tenant = note_deny rt proc ~meth ~env in
   Err.Denied { tenant; reason }
 
-let on_receive rt host ~src payload =
-  ignore src;
-  match decode_incoming payload with
-  | In_garbage _ -> ()
-  | In_bounce { id; src_host; err } ->
-      Network.send rt.net ~src:host ~dst:src_host (encode_reply ~id (Error err))
-  | In_reply { id; reply } -> (
+let on_receive rt host ~src:_ (msg : Msg.t) =
+  match msg with
+  | Msg.Reply { id; reply } -> (
       match Hashtbl.find_opt rt.pending id with
       | None -> () (* late duplicate (racing replica) or post-timeout reply *)
       | Some p ->
@@ -707,9 +600,9 @@ let on_receive rt host ~src payload =
           breaker_note rt ~at_host:host ~dst_host:p.dst_host
             (breaker_outcome reply);
           p.cont reply)
-  | In_call { id; src_host; dst_loid; dst_slot; call; _ } -> (
-      let reply_to r =
-        Network.send rt.net ~src:host ~dst:src_host (encode_reply ~id r)
+  | Msg.Call { id; src_host; dst_loid; dst_slot; call; _ } -> (
+      let reply_to reply =
+        Network.send rt.net ~src:host ~dst:src_host (Msg.Reply { id; reply })
       in
       let dedup_key = (src_host, id) in
       let dedup_seen =
@@ -789,8 +682,7 @@ let on_receive rt host ~src payload =
 let attach_host rt host =
   if not (Hashtbl.mem rt.attached host) then begin
     Hashtbl.add rt.attached host ();
-    Network.set_receiver rt.net host (fun ~src payload ->
-        on_receive rt host ~src payload)
+    Network.set_receiver rt.net host (on_receive rt host)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -958,8 +850,15 @@ let send_one ctx ?timeout ~dst_loid ~element c k =
       let started = now rt in
       let deadline = started +. overall in
       let msg =
-        encode_call ~id ~src_loid:ctx.self.loid ~src_host:ctx.self.host
-          ~dst_loid ~dst_slot c
+        Msg.Call
+          {
+            id;
+            src_loid = ctx.self.loid;
+            src_host = ctx.self.host;
+            dst_loid;
+            dst_slot;
+            call = c;
+          }
       in
       (* [cont] must be installed before [handle_reply] exists (the
          closures are mutually recursive through the pending entry), so
@@ -1247,18 +1146,16 @@ let invoke ctx ?timeout ?max_rebinds ~dst ~meth ~args ?env k =
 (* ------------------------------------------------------------------ *)
 (* Tracing.                                                            *)
 
-let describe_message payload =
-  match decode_incoming payload with
-  | In_call { id; src_loid; dst_loid; call; _ } ->
+let describe_message v =
+  match Msg.of_value v with
+  | Some (Msg.Call { id; src_loid; dst_loid; call; _ }) ->
       Some
         (Printf.sprintf "call#%d %s -> %s.%s/%d" id (Loid.to_string src_loid)
            (Loid.to_string dst_loid) call.meth (List.length call.args))
-  | In_reply { id; reply = Ok _ } -> Some (Printf.sprintf "reply#%d ok" id)
-  | In_reply { id; reply = Error e } ->
+  | Some (Msg.Reply { id; reply = Ok _ }) -> Some (Printf.sprintf "reply#%d ok" id)
+  | Some (Msg.Reply { id; reply = Error e }) ->
       Some (Printf.sprintf "reply#%d error: %s" id (Err.to_string e))
-  | In_bounce { id; err; _ } ->
-      Some (Printf.sprintf "bounce#%d %s" id (Err.to_string err))
-  | In_garbage _ -> None
+  | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Accounting.                                                         *)

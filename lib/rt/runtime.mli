@@ -99,7 +99,7 @@ val default_config : config
 
 val create :
   sim:Legion_sim.Engine.t ->
-  net:Legion_net.Network.t ->
+  net:Msg.t Legion_net.Network.t ->
   registry:Legion_util.Counter.Registry.r ->
   prng:Legion_util.Prng.t ->
   ?config:config ->
@@ -112,7 +112,7 @@ val create :
     so emission is always unconditional. *)
 
 val sim : t -> Legion_sim.Engine.t
-val net : t -> Legion_net.Network.t
+val net : t -> Msg.t Legion_net.Network.t
 val registry : t -> Legion_util.Counter.Registry.r
 val prng : t -> Legion_util.Prng.t
 val config : t -> config
@@ -127,8 +127,8 @@ val emit : t -> host:Legion_net.Network.host_id -> Legion_obs.Event.kind -> unit
 
 (** {1 Calls and handlers} *)
 
-type call = { meth : string; args : Value.t list; env : Env.t }
-type reply = (Value.t, Err.t) result
+type call = Msg.call = { meth : string; args : Value.t list; env : Env.t }
+type reply = Msg.reply
 
 type ctx = { rt : t; self : proc }
 (** What a handler sees: the runtime and its own process. *)

@@ -306,7 +306,7 @@ let make_rt_fixture ?(sites = 2) ?(hosts_per_site = 2) () =
   let prng = Prng.create ~seed:23L in
   let registry = Counter.Registry.create () in
   let obs = Recorder.create ~clock:(fun () -> Engine.now sim) () in
-  let net = Network.create ~sim ~prng:(Prng.split prng) ~obs () in
+  let net = Network.create ~sim ~prng:(Prng.split prng) ~codec:Legion_rt.Msg.codec ~obs () in
   let hosts =
     List.concat_map
       (fun s ->

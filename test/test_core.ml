@@ -59,7 +59,7 @@ let make_fixture () =
   let sim = Engine.create () in
   let prng = Prng.create ~seed:1L in
   let registry = Counter.Registry.create () in
-  let net = Network.create ~sim ~prng:(Prng.split prng) () in
+  let net = Network.create ~sim ~prng:(Prng.split prng) ~codec:Legion_rt.Msg.codec () in
   let site = Network.add_site net ~name:"s" in
   let host = Network.add_host net ~site ~name:"h" in
   let rt = Runtime.create ~sim ~net ~registry ~prng:(Prng.split prng) () in

@@ -25,7 +25,7 @@ let loid i = Loid.make ~class_id:60L ~class_specific:(Int64.of_int i) ()
 type fixture = {
   sim : Engine.t;
   rt : Runtime.t;
-  net : Network.t;
+  net : Legion_rt.Msg.t Network.t;
   obs : Recorder.t;
   hosts : int list;
 }
@@ -35,7 +35,7 @@ let make_fixture ?(seed = 11L) ?config ?(hosts_per_site = 2) ?(sites = 2) () =
   let prng = Prng.create ~seed in
   let registry = Counter.Registry.create () in
   let obs = Recorder.create ~clock:(fun () -> Engine.now sim) () in
-  let net = Network.create ~sim ~prng:(Prng.split prng) ~obs () in
+  let net = Network.create ~sim ~prng:(Prng.split prng) ~codec:Legion_rt.Msg.codec ~obs () in
   let hosts =
     List.concat_map
       (fun s ->

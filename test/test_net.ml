@@ -5,9 +5,9 @@ module Network = Legion_net.Network
 module Value = Legion_wire.Value
 module Prng = Legion_util.Prng
 
-let make_net ?latency () =
+let make_net ?latency ?(codec = Network.value_codec) () =
   let sim = Engine.create () in
-  let net = Network.create ~sim ~prng:(Prng.create ~seed:1L) ?latency () in
+  let net = Network.create ~sim ~prng:(Prng.create ~seed:1L) ~codec ?latency () in
   let s0 = Network.add_site net ~name:"s0" in
   let s1 = Network.add_site net ~name:"s1" in
   let h0 = Network.add_host net ~site:s0 ~name:"h0" in
@@ -164,7 +164,7 @@ let test_drop_accounting_matches_trace () =
     let obs =
       Recorder.create ~capacity:4096 ~clock:(fun () -> Engine.now sim) ()
     in
-    let net = Network.create ~sim ~prng:(Prng.split master) ~obs () in
+    let net = Network.create ~sim ~prng:(Prng.split master) ~codec:Network.value_codec ~obs () in
     let s0 = Network.add_site net ~name:"s0" in
     let s1 = Network.add_site net ~name:"s1" in
     let hosts =
@@ -205,6 +205,49 @@ let test_drop_accounting_matches_trace () =
     Alcotest.(check int) "every send delivered or dropped" sends
       (delivers + drops)
   done
+
+(* Payloads travel as typed values: the codec's [to_value] (the edge
+   encoding) runs only while a tap is installed, once per send, and for
+   transmissions the corruption fault seals, once each. *)
+let test_codec_only_at_the_edge () =
+  let encodes = ref 0 in
+  let codec =
+    {
+      Network.value_codec with
+      to_value =
+        (fun v ->
+          incr encodes;
+          v);
+    }
+  in
+  let sim, net, h0, _, h2 = make_net ~codec () in
+  let received = ref 0 in
+  Network.set_receiver net h2 (fun ~src:_ _ -> incr received);
+  let send_100 () =
+    encodes := 0;
+    received := 0;
+    for i = 1 to 100 do
+      Network.send net ~src:h0 ~dst:h2 (Value.Int i)
+    done;
+    Engine.run sim
+  in
+  send_100 ();
+  Alcotest.(check int) "no tap, no corruption: never encoded" 0 !encodes;
+  Alcotest.(check int) "all delivered" 100 !received;
+  let tapped = ref 0 in
+  Network.set_tap net (Some (fun ~src:_ ~dst:_ _ -> incr tapped));
+  send_100 ();
+  Network.set_tap net None;
+  Alcotest.(check int) "tap: encoded once per send" 100 !encodes;
+  Alcotest.(check int) "tap saw every send" 100 !tapped;
+  let corrupted0 = Network.messages_corrupted net in
+  Network.set_corrupt_rate net 1.0;
+  send_100 ();
+  let corrupted = Network.messages_corrupted net - corrupted0 in
+  Alcotest.(check int) "every transmission corrupted" 100 corrupted;
+  Alcotest.(check int) "corruption: encoded once per corrupted transmission"
+    corrupted !encodes;
+  Alcotest.(check int) "corrupted frames never delivered" 0 !received
 
 let test_bad_host_id () =
   let _, net, _, _, _ = make_net () in
@@ -273,6 +316,8 @@ let () =
           Alcotest.test_case "site partitions" `Quick test_partition;
           Alcotest.test_case "drop accounting matches trace" `Quick
             test_drop_accounting_matches_trace;
+          Alcotest.test_case "codec only at the edge" `Quick
+            test_codec_only_at_the_edge;
           Alcotest.test_case "bad host id" `Quick test_bad_host_id;
           Alcotest.test_case "watcher deregistration" `Quick
             test_watcher_deregistration;

@@ -69,7 +69,7 @@ let make_fixture ?(seed = base_seed) () =
   let prng = Prng.create ~seed in
   let registry = Counter.Registry.create () in
   let obs = Recorder.create ~clock:(fun () -> Engine.now sim) () in
-  let net = Network.create ~sim ~prng:(Prng.split prng) ~obs () in
+  let net = Network.create ~sim ~prng:(Prng.split prng) ~codec:Legion_rt.Msg.codec ~obs () in
   let site = Network.add_site net ~name:"s0" in
   let hosts =
     List.init 2 (fun i -> Network.add_host net ~site ~name:(Printf.sprintf "h%d" i))

@@ -18,7 +18,7 @@ let loid i = Loid.make ~class_id:50L ~class_specific:(Int64.of_int i) ()
 type fixture = {
   sim : Engine.t;
   rt : Runtime.t;
-  net : Network.t;
+  net : Legion_rt.Msg.t Network.t;
   hosts : int list;
 }
 
@@ -26,7 +26,7 @@ let make_fixture ?config ?(hosts_per_site = 2) ?(sites = 2) () =
   let sim = Engine.create () in
   let prng = Prng.create ~seed:1L in
   let registry = Counter.Registry.create () in
-  let net = Network.create ~sim ~prng:(Prng.split prng) () in
+  let net = Network.create ~sim ~prng:(Prng.split prng) ~codec:Legion_rt.Msg.codec () in
   let hosts =
     List.concat_map
       (fun s ->

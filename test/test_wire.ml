@@ -221,6 +221,7 @@ let err_gen : Err.t QCheck.Gen.t =
         (fun t r -> Err.Quota_exceeded { tenant = t; retry_after = r })
         s ra;
       map2 (fun t d -> Err.Denied { tenant = t; reason = d }) s s;
+      map (fun d -> Err.Corrupt d) s;
       map (fun d -> Err.Internal d) s;
     ]
 
@@ -295,6 +296,83 @@ let err_codec_roundtrip =
           match Err.of_value v with
           | Ok e' -> Err.equal e e'
           | Error _ -> false))
+
+(* --- the runtime message and its edge encoding --- *)
+
+module Msg = Legion_rt.Msg
+module Loid = Legion_naming.Loid
+
+let loid_gen : Loid.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  map3
+    (fun c s key -> Loid.make ~public_key:key ~class_id:c ~class_specific:s ())
+    int64 int64
+    (oneof [ return ""; string_size (1 -- 24) ])
+
+let msg_gen : Msg.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let env =
+    map3
+      (fun responsible security calling ->
+        Legion_sec.Env.make ~responsible ~security ~calling)
+      loid_gen loid_gen loid_gen
+  in
+  let call =
+    map3
+      (fun meth args env -> { Msg.meth; args; env })
+      (string_size (0 -- 12))
+      (list_size (0 -- 4) value_gen)
+      env
+  in
+  oneof
+    [
+      map3
+        (fun (id, src_host, dst_slot) (src_loid, dst_loid) call ->
+          Msg.Call { id; src_loid; src_host; dst_loid; dst_slot; call })
+        (triple nat nat nat) (pair loid_gen loid_gen) call;
+      map2
+        (fun id reply -> Msg.Reply { id; reply })
+        nat
+        (oneof [ map Result.ok value_gen; map Result.error err_gen ]);
+    ]
+
+let arbitrary_msg =
+  QCheck.make ~print:(fun m -> Value.to_string (Msg.to_value m)) msg_gen
+
+(* Structural equality is exact here: generated floats are finite. *)
+let msg_roundtrip =
+  QCheck.Test.make ~name:"Msg.of_value (to_value m) = Some m" ~count:500
+    arbitrary_msg (fun m -> Msg.of_value (Msg.to_value m) = Some m)
+
+let msg_size_matches =
+  QCheck.Test.make ~name:"Msg.size m = size_bytes (to_value m)" ~count:500
+    arbitrary_msg (fun m -> Msg.size m = Value.size_bytes (Msg.to_value m))
+
+(* Arbitrary values, and real messages with one field replaced by an
+   arbitrary value or removed: decoding answers, it never raises. *)
+let msg_decode_total =
+  QCheck.Test.make ~name:"Msg.of_value never raises" ~count:500
+    QCheck.(triple arbitrary_msg small_nat (option arbitrary_value))
+    (fun (m, i, replacement) ->
+      let mangled =
+        match Msg.to_value m with
+        | Value.Record fields ->
+            let i = i mod List.length fields in
+            Value.Record
+              (List.concat
+                 (List.mapi
+                    (fun j (name, v) ->
+                      if j <> i then [ (name, v) ]
+                      else
+                        match replacement with
+                        | Some r -> [ (name, r) ]
+                        | None -> [])
+                    fields))
+        | v -> v
+      in
+      let total v = match Msg.of_value v with Some _ | None -> true in
+      total mangled
+      && total (Option.value replacement ~default:Value.Unit))
 
 (* Pre-upgrade peers encode with fields missing; each legacy shape must
    decode to the documented default, not fail the call. *)
@@ -399,5 +477,11 @@ let () =
             test_err_classification;
           QCheck_alcotest.to_alcotest err_value_roundtrip;
           QCheck_alcotest.to_alcotest err_codec_roundtrip;
+        ] );
+      ( "msg",
+        [
+          QCheck_alcotest.to_alcotest msg_roundtrip;
+          QCheck_alcotest.to_alcotest msg_size_matches;
+          QCheck_alcotest.to_alcotest msg_decode_total;
         ] );
     ]
