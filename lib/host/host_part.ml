@@ -11,20 +11,15 @@ module C = Legion_core.Convert
 let unit_name = "legion.host"
 
 (* What we must remember about a running process to rebuild its OPR at
-   deactivation: everything except the state snapshot, which SaveState
-   provides at that moment. *)
-type process = {
-  proc : Runtime.proc;
-  kind : string;
-  units : string list;
-  binding_agent : Address.t option;
-  cache_capacity : int option;
-}
+   deactivation. The state snapshot comes from SaveState at that
+   moment; the kind, Binding Agent and cache bound the runtime keeps
+   with the process itself. *)
+type process = { proc : Runtime.proc; units : string list }
 
 type state = {
   mutable capacity : int option;
   mutable memory : int;
-  mutable processes : (Loid.t * process) list;
+  processes : process Loid.Ordered.t;  (* newest first *)
   mutable activations : int;
   mutable exceptions : int;  (* activation failures reported *)
 }
@@ -37,36 +32,47 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   let self = Runtime.proc_loid ctx.Runtime.self in
   let net_host = Runtime.proc_host ctx.Runtime.self in
   let st =
-    { capacity = None; memory = 0; processes = []; activations = 0; exceptions = 0 }
+    {
+      capacity = None;
+      memory = 0;
+      processes = Loid.Ordered.create ();
+      activations = 0;
+      exceptions = 0;
+    }
   in
   let env = Env.of_self self in
 
+  (* An entry is resident while its process is live and belongs to the
+     LOID's current incarnation; anything else is dropped on sight. A
+     placement from a superseded incarnation is a zombie, not a
+     resident: delivery fences it, so it can never answer. Counting it
+     as "already running here" would make Activate hand out its address
+     forever (a rebind livelock after a partition-era epoch bump). Reap
+     it on sight; the caller then re-activates from the OPR under the
+     current epoch. *)
+  let resident loid p =
+    let keep =
+      Runtime.is_live p.proc
+      &&
+      if Runtime.proc_epoch p.proc < Runtime.current_epoch rt loid then begin
+        Runtime.kill rt p.proc;
+        false
+      end
+      else true
+    in
+    if not keep then Loid.Ordered.remove st.processes loid;
+    keep
+  in
+  (* One pass over the table, newest first. *)
   let live_processes () =
-    st.processes <-
-      List.filter
-        (fun (_, p) ->
-          Runtime.is_live p.proc
-          &&
-          (* A placement from a superseded incarnation is a zombie, not
-             a resident: delivery fences it, so it can never answer.
-             Counting it as "already running here" would make Activate
-             hand out its address forever (a rebind livelock after a
-             partition-era epoch bump). Reap it on sight; the caller
-             then re-activates from the OPR under the current epoch. *)
-          if
-            Runtime.proc_epoch p.proc
-            < Runtime.current_epoch rt (Runtime.proc_loid p.proc)
-          then begin
-            Runtime.kill rt p.proc;
-            false
-          end
-          else true)
-        st.processes;
-    st.processes
+    List.filter
+      (fun (loid, p) -> resident loid p)
+      (Loid.Ordered.to_list st.processes)
   in
   let find_process loid =
-    List.find_opt (fun (l, _) -> Loid.equal l loid) (live_processes ())
-    |> Option.map snd
+    match Loid.Ordered.find st.processes loid with
+    | Some p when resident loid p -> Some p
+    | Some _ | None -> None
   in
   let full () =
     match st.capacity with
@@ -74,48 +80,35 @@ let factory (ctx : Runtime.ctx) : Impl.part =
     | Some c -> List.length (live_processes ()) >= c
   in
 
+  let reply_addr k proc =
+    k (Ok (Value.Record [ ("addr", Address.to_value (Runtime.address_of proc)) ]))
+  in
   let activate _ctx args _env k =
     match args with
     | [ loid_v; Value.Blob blob ] -> (
         match C.loid_arg loid_v with
         | Error msg -> Impl.bad_args k msg
-        | Ok loid ->
+        | Ok loid -> (
             if full () then k (Error (Err.Refused "host at capacity"))
-            else if Option.is_some (find_process loid) then
-              (* Already running here: answer with the existing address
-                 rather than double-activating. *)
-              let p = Option.get (find_process loid) in
-              k
-                (Ok
-                   (Value.Record
-                      [ ("addr", Address.to_value (Runtime.address_of p.proc)) ]))
-            else (
-              match Opr.of_blob blob with
-              | Error msg -> Impl.bad_args k ("bad OPR: " ^ msg)
-              | Ok opr -> (
-                  match Impl.activate rt ~host:net_host ~loid opr with
-                  | Error msg ->
-                      st.exceptions <- st.exceptions + 1;
-                      k (Error (Err.Internal ("activation failed: " ^ msg)))
-                  | Ok proc ->
-                      st.activations <- st.activations + 1;
-                      st.processes <-
-                        ( loid,
-                          {
-                            proc;
-                            kind = opr.Opr.kind;
-                            units = opr.Opr.units;
-                            binding_agent = opr.Opr.binding_agent;
-                            cache_capacity = opr.Opr.cache_capacity;
-                          } )
-                        :: st.processes;
-                      k
-                        (Ok
-                           (Value.Record
-                              [
-                                ( "addr",
-                                  Address.to_value (Runtime.address_of proc) );
-                              ])))))
+            else
+              match find_process loid with
+              | Some p ->
+                  (* Already running here: answer with the existing
+                     address rather than double-activating. *)
+                  reply_addr k p.proc
+              | None -> (
+                  match Opr.of_blob blob with
+                  | Error msg -> Impl.bad_args k ("bad OPR: " ^ msg)
+                  | Ok opr -> (
+                      match Impl.activate rt ~host:net_host ~loid opr with
+                      | Error msg ->
+                          st.exceptions <- st.exceptions + 1;
+                          k (Error (Err.Internal ("activation failed: " ^ msg)))
+                      | Ok proc ->
+                          st.activations <- st.activations + 1;
+                          Loid.Ordered.add st.processes loid
+                            { proc; units = opr.Opr.units };
+                          reply_addr k proc))))
     | _ -> Impl.bad_args k "Activate expects (loid, opr: blob)"
   in
 
@@ -138,14 +131,13 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                     | Error e -> k (Error e)
                     | Ok (Value.Record states) ->
                         Runtime.kill rt p.proc;
-                        st.processes <-
-                          List.filter
-                            (fun (l, _) -> not (Loid.equal l loid))
-                            st.processes;
+                        Loid.Ordered.remove st.processes loid;
                         let opr =
-                          Opr.make ~states ?binding_agent:p.binding_agent
-                            ?cache_capacity:p.cache_capacity ~kind:p.kind
-                            ~units:p.units ()
+                          Opr.make ~states
+                            ?binding_agent:(Runtime.binding_agent p.proc)
+                            ?cache_capacity:
+                              (Legion_naming.Cache.capacity (Runtime.cache_of p.proc))
+                            ~kind:(Runtime.proc_kind p.proc) ~units:p.units ()
                         in
                         k (Ok (Value.Blob (Opr.to_blob opr)))
                     | Ok _ -> k (Error (Err.Internal "SaveState returned non-record")))))
@@ -161,8 +153,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
             (match find_process loid with
             | Some p -> Runtime.kill rt p.proc
             | None -> ());
-            st.processes <-
-              List.filter (fun (l, _) -> not (Loid.equal l loid)) st.processes;
+            Loid.Ordered.remove st.processes loid;
             k Impl.ok_unit)
     | _ -> Impl.bad_args k "Kill expects one loid"
   in
@@ -232,7 +223,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
   let reap _ctx args _env k =
     match args with
     | [] ->
-        let before = List.length st.processes in
+        let before = Loid.Ordered.length st.processes in
         let after = List.length (live_processes ()) in
         k (Ok (Value.Int (before - after)))
     | _ -> Impl.bad_args k "Reap takes no arguments"

@@ -470,6 +470,7 @@ let factory (ctx : Runtime.ctx) : Impl.part =
                           Persistent.forget store ~loid
                       | Error _ -> ());
                       Loid.Ordered.remove st.records loid;
+                      Runtime.forget rt loid;
                       notify_class loid ~add:[] ~remove:[ self ] (fun () ->
                           k Impl.ok_unit)
                     in

@@ -1,6 +1,6 @@
-(* The LRU order is the table's recency order: a hit promotes its
-   entry, an insert makes it newest, and a full table evicts its
-   oldest entry. *)
+(* The LRU order is the table's recency order: a hit in a bounded
+   cache promotes its entry, an insert makes it newest, and a full
+   table evicts its oldest entry. *)
 type t = {
   entries : Binding.t Loid.Ordered.t;
   mutable lookups : int;
@@ -15,7 +15,13 @@ let create ?capacity () =
    miss. *)
 let lookup t ~now ~keep loid =
   t.lookups <- t.lookups + 1;
-  match Loid.Ordered.promote t.entries loid with
+  let entry =
+    (* Only a bounded cache evicts, so only its hits need relinking. *)
+    match Loid.Ordered.capacity t.entries with
+    | None -> Loid.Ordered.find t.entries loid
+    | Some _ -> Loid.Ordered.promote t.entries loid
+  in
+  match entry with
   | Some b as hit when Binding.is_valid ~now b && keep b ->
       t.hits <- t.hits + 1;
       hit

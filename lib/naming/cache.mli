@@ -14,8 +14,9 @@ val create : ?capacity:int -> unit -> t
     nothing. @raise Invalid_argument on negative capacity. *)
 
 val find : t -> now:float -> Loid.t -> Binding.t option
-(** Valid cached binding for the LOID, refreshing its recency. Expired
-    entries are removed and reported as misses. *)
+(** Valid cached binding for the LOID, refreshing its recency in a
+    bounded cache (an unbounded one never evicts, so its hits keep their
+    place). Expired entries are removed and reported as misses. *)
 
 val add : t -> now:float -> Binding.t -> unit
 (** Insert or replace. Expired bindings are ignored. May evict. *)

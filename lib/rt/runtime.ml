@@ -178,6 +178,10 @@ let bump_epoch rt loid =
   Loid.Table.set rt.epochs loid e;
   e
 
+(* The one kind whose population grows with the number of objects;
+   the others are infrastructure processes. *)
+let is_app kind = String.equal kind "app"
+
 let kill rt proc =
   if proc.live then begin
     proc.live <- false;
@@ -202,6 +206,9 @@ let kill rt proc =
         d.d_count <- 0
     | None -> ());
     rt.slot_tbl.(proc.slot) <- None;
+    (* Application placements come and go with the objects, so their
+       counters would pile up; their requests stay in the group totals. *)
+    if is_app proc.kind then Counter.Registry.retire rt.registry proc.counter;
     let remaining =
       List.filter
         (fun p -> not (p.host = proc.host && p.slot = proc.slot))
@@ -287,6 +294,12 @@ let obs rt = rt.obs
 let mark_dead rt loid =
   if not (Loid.Table.mem rt.dead_since loid) then
     Loid.Table.set rt.dead_since loid (now rt)
+
+let forget rt loid =
+  if placements rt loid = [] then begin
+    Loid.Table.remove rt.epochs loid;
+    Loid.Table.remove rt.dead_since loid
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Breaker bookkeeping.                                                *)
@@ -700,7 +713,7 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
   let admission =
     match admission with
     | Some a -> a
-    | None -> if String.equal kind "app" then rt.config.admission else None
+    | None -> if is_app kind then rt.config.admission else None
   in
   let epoch =
     match epoch with Some e -> e | None -> current_epoch rt loid

@@ -166,7 +166,10 @@ val spawn :
 
 val kill : t -> proc -> unit
 (** Remove the instance; subsequent messages to its address are answered
-    [No_such_object]. Killing twice is a no-op. *)
+    [No_such_object]. Killing twice is a no-op. An ["app"] placement's
+    request counter is retired from the registry
+    ({!Legion_util.Counter.Registry.retire}): its requests stay in the
+    group's total and maximum, and {!requests_of} still reads it. *)
 
 val kill_loid : t -> Loid.t -> unit
 (** Kill every placement of the LOID. *)
@@ -196,7 +199,8 @@ val power_fail : t -> Legion_net.Network.host_id -> unit
 (** {1 Epochs and recovery} *)
 
 val current_epoch : t -> Loid.t -> int
-(** The LOID's current incarnation number ([0] until first bumped). *)
+(** The LOID's current incarnation number ([0] until first bumped, and
+    [0] again once {!forget} has dropped it). *)
 
 val bump_epoch : t -> Loid.t -> int
 (** Open a new incarnation and return its number. Magistrates call this
@@ -220,6 +224,14 @@ val mark_dead : t -> Loid.t -> unit
     failure detector calls this at [ConfirmDead]; the first call
     subsequently delivered to the object stops the clock and records
     the elapsed virtual time in the ["rt.mttr"] histogram. *)
+
+val forget : t -> Loid.t -> unit
+(** Drop what the runtime keeps per LOID — its incarnation number and
+    any running MTTR clock — once the object is deleted, so a deleted
+    object leaves nothing behind. A no-op while the LOID still has a
+    placement (the epoch must keep fencing it). LOIDs are never
+    re-minted, so nothing asks for the forgotten epoch again. The
+    Magistrate's [Delete] calls this after killing the process. *)
 
 val is_live : proc -> bool
 

@@ -226,6 +226,116 @@ let test_host_state_fields () =
   | Ok (Value.Int _) -> ()
   | _ -> Alcotest.fail "Reap"
 
+(* --- The Host Object's process table --- *)
+
+(* The first Host Object of a one-site system, driven directly with an
+   OPR that starts a fresh counter. *)
+let host_fixture () =
+  let sys = H.boot_one_site () in
+  let ctx = System.client sys () in
+  let cls = H.make_counter_class sys ctx () in
+  let host = List.hd (System.site sys 0).System.host_objects in
+  let fresh () = System.fresh_instance_loid sys ~of_class:cls in
+  let call meth args =
+    match Api.call sys ctx ~dst:host ~meth ~args with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" meth (Err.to_string e)
+  in
+  (sys, fresh, call)
+
+let counter_opr =
+  Value.Blob
+    (Legion_core.Opr.to_blob
+       (Legion_core.Opr.make ~kind:Well_known.kind_app ~units:[ H.counter_unit ] ()))
+
+let activate call ?(opr = counter_opr) loid =
+  match
+    Result.bind
+      (C.field (call "Activate" [ Loid.to_value loid; opr ]) "addr")
+      Legion_naming.Address.of_value
+  with
+  | Ok a -> a
+  | Error e -> Alcotest.fail e
+
+let loids = function
+  | Value.List vs ->
+      List.map
+        (fun v -> match C.loid_arg v with Ok l -> l | Error e -> Alcotest.fail e)
+        vs
+  | v -> Alcotest.failf "expected a LOID list, got %s" (Value.to_string v)
+
+let loid_list = Alcotest.list H.loid_t
+
+let test_host_listings_newest_first () =
+  let sys, fresh, call = host_fixture () in
+  (* Whatever the boot placed on the host (the class, say) is older. *)
+  let boot = loids (call "ListProcesses" []) in
+  let a = fresh () and b = fresh () and c = fresh () in
+  let agent = (System.site sys 0).System.agent_address in
+  let b_opr =
+    Legion_core.Opr.make ~kind:Well_known.kind_app ~units:[ H.counter_unit ]
+      ~binding_agent:agent ~cache_capacity:7 ()
+  in
+  ignore (activate call a);
+  ignore (activate call ~opr:(Value.Blob (Legion_core.Opr.to_blob b_opr)) b);
+  ignore (activate call c);
+  let listed () = loids (call "ListProcesses" []) in
+  let idle () = loids (call "IdleProcesses" [ Value.Float 0.0 ]) in
+  Alcotest.check loid_list "activation order, newest first" ([ c; b; a ] @ boot)
+    (listed ());
+  let opr = call "Deactivate" [ Loid.to_value b ] in
+  (match opr with
+  | Value.Blob blob -> (
+      match Legion_core.Opr.of_blob blob with
+      | Ok o ->
+          Alcotest.(check bool) "the OPR keeps kind, units, agent and cache bound" true
+            ({ o with Legion_core.Opr.states = [] } = b_opr)
+      | Error e -> Alcotest.fail e)
+  | v -> Alcotest.failf "Deactivate replied %s" (Value.to_string v));
+  Alcotest.check loid_list "deactivated one gone" ([ c; a ] @ boot) (listed ());
+  ignore (activate call ~opr b);
+  Alcotest.check loid_list "reactivated one is newest" ([ b; c; a ] @ boot)
+    (listed ());
+  Alcotest.check loid_list "idle listing, same order" ([ b; c; a ] @ boot) (idle ())
+
+let test_host_reaps_superseded_incarnation () =
+  let sys, fresh, call = host_fixture () in
+  let rt = System.rt sys in
+  let a = fresh () in
+  let first = activate call a in
+  let old_proc =
+    match Runtime.find_proc rt a with Some p -> p | None -> Alcotest.fail "not running"
+  in
+  ignore (Runtime.bump_epoch rt a);
+  Alcotest.(check bool) "IsAlive false for the old incarnation" false
+    (call "IsAlive" [ Loid.to_value a ] = Value.Bool true);
+  Alcotest.(check bool) "old process killed" false (Runtime.is_live old_proc);
+  let second = activate call a in
+  Alcotest.(check bool) "Activate hands out a fresh address" false
+    (Legion_naming.Address.equal first second);
+  Alcotest.(check bool) "one resident" true
+    (List.filter (Loid.equal a) (loids (call "ListProcesses" [])) = [ a ])
+
+let test_host_never_returns_dead_process () =
+  let sys, fresh, call = host_fixture () in
+  let boot = loids (call "ListProcesses" []) in
+  let a = fresh () and b = fresh () in
+  let first = activate call a in
+  ignore (activate call b);
+  Runtime.kill_loid (System.rt sys) a;
+  Alcotest.(check bool) "IsAlive false" false
+    (call "IsAlive" [ Loid.to_value a ] = Value.Bool true);
+  Alcotest.check loid_list "not listed" (b :: boot) (loids (call "ListProcesses" []));
+  Alcotest.check loid_list "not idle" (b :: boot)
+    (loids (call "IdleProcesses" [ Value.Float 0.0 ]));
+  Alcotest.(check int) "nothing left to reap" 0 (H.int_exn (call "Reap" []));
+  let second = activate call a in
+  Alcotest.(check bool) "Activate starts a new process" false
+    (Legion_naming.Address.equal first second);
+  Runtime.kill_loid (System.rt sys) b;
+  Alcotest.(check int) "Reap counts the entry it drops" 1 (H.int_exn (call "Reap" []));
+  Alcotest.check loid_list "reaped" (a :: boot) (loids (call "ListProcesses" []))
+
 let test_capacity_only_gates_new_activations () =
   (* Capping below current load never kills running processes; it only
      refuses new placements on that host. *)
@@ -276,6 +386,12 @@ let () =
           Alcotest.test_case "LocateClass unknown" `Quick test_metaclass_locate_errors;
           Alcotest.test_case "argument validation" `Quick test_bad_args_everywhere;
           Alcotest.test_case "host state fields" `Quick test_host_state_fields;
+          Alcotest.test_case "host listings newest first" `Quick
+            test_host_listings_newest_first;
+          Alcotest.test_case "host reaps superseded incarnation" `Quick
+            test_host_reaps_superseded_incarnation;
+          Alcotest.test_case "host never returns a dead process" `Quick
+            test_host_never_returns_dead_process;
         ] );
       ( "resource management",
         [

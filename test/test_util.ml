@@ -579,6 +579,50 @@ let test_counter_registry () =
   Alcotest.(check int) "reset" 0 (Counter.Registry.group_total r "g1");
   Alcotest.(check int) "all registered" 3 (List.length (Counter.Registry.all r))
 
+(* A retired counter leaves the listings but not the group's total and
+   maximum, which answer as if it were still registered — ties going to
+   the older counter either way. *)
+let test_counter_retire () =
+  let r = Counter.Registry.create () in
+  let make name v =
+    let c = Counter.Registry.make r ~group:"app" ~name in
+    Counter.add c v;
+    c
+  in
+  let a = make "a" 3 in
+  let b = make "b" 7 in
+  let c = make "c" 7 in
+  let _d = make "d" 2 in
+  let other = Counter.Registry.make r ~group:"class" ~name:"k" in
+  Counter.add other 100;
+  let max_name () =
+    match Counter.Registry.group_max r "app" with
+    | Some (n, v) -> Printf.sprintf "%s=%d" n v
+    | None -> "none"
+  in
+  Alcotest.(check string) "oldest of the tied" "b=7" (max_name ());
+  Counter.Registry.retire r c;
+  Counter.Registry.retire r b;
+  Counter.Registry.retire r b;
+  Alcotest.(check string) "retired maximum, oldest of the tied" "b=7" (max_name ());
+  Alcotest.(check int) "total keeps retired values" 19
+    (Counter.Registry.group_total r "app");
+  Alcotest.(check int) "other groups untouched" 100
+    (Counter.Registry.group_total r "class");
+  Alcotest.(check (list string)) "listings drop retired, oldest first"
+    [ "a"; "d"; "k" ]
+    (List.map Counter.name (Counter.Registry.all r));
+  Alcotest.(check bool) "not found once retired" true
+    (Counter.Registry.find r ~group:"app" ~name:"b" = None);
+  Counter.add a 4;
+  Alcotest.(check string) "a live counter beats a younger retired tie" "a=7"
+    (max_name ());
+  Counter.add a 1;
+  Alcotest.(check string) "and a smaller retired one" "a=8" (max_name ());
+  Counter.Registry.reset r;
+  Alcotest.(check int) "reset forgets retired totals" 0
+    (Counter.Registry.group_total r "app")
+
 let () =
   Alcotest.run "util"
     [
@@ -638,6 +682,10 @@ let () =
           Alcotest.test_case "zipf uniform limit" `Quick test_zipf_uniform_limit;
           Alcotest.test_case "poisson process" `Slow test_poisson;
         ] );
-      ("counter", [ Alcotest.test_case "registry" `Quick test_counter_registry ]);
+      ( "counter",
+        [
+          Alcotest.test_case "registry" `Quick test_counter_registry;
+          Alcotest.test_case "retire" `Quick test_counter_retire;
+        ] );
       ("pp", [ Alcotest.test_case "printers" `Quick test_pp_smoke ]);
     ]
