@@ -57,29 +57,27 @@ let bad_args k msg = k (Error (Err.Bad_args msg))
 (* Methods every composite answers natively. MayI, Iam and Ping must
    remain callable regardless of policy so that objects can probe each
    other; everything else passes through the guard. *)
-let unguarded = [ "MayI"; "Iam"; "Ping" ]
+let unguarded = function "MayI" | "Iam" | "Ping" -> true | _ -> false
 let builtin_names = [ "SaveState"; "RestoreState"; "GetMethodNames" ]
 
 let compose ~parts : Runtime.handler =
- fun ctx call k ->
-  let { Runtime.meth; args; env } = call in
   (* Every unit's guard must admit the call (conjunction): the object
      part contributes the MayI policy, a typecheck unit contributes IDL
      conformance, and so on. *)
-  let guard_decision () =
-    if List.mem meth unguarded then Policy.Allow
-    else
-      let rec all_guards = function
-        | [] -> Policy.Allow
-        | { guard = Some g; _ } :: rest -> (
-            match g ~meth ~args ~env with
-            | Policy.Allow -> all_guards rest
-            | Policy.Deny _ as d -> d)
-        | { guard = None; _ } :: rest -> all_guards rest
-      in
-      all_guards parts
+  let guards = List.filter_map (fun p -> p.guard) parts in
+  let rec all_guards ~meth ~args ~env = function
+    | [] -> Policy.Allow
+    | g :: rest -> (
+        match g ~meth ~args ~env with
+        | Policy.Allow -> all_guards ~meth ~args ~env rest
+        | Policy.Deny _ as d -> d)
   in
-  match guard_decision () with
+  fun ctx call k ->
+  let { Runtime.meth; args; env } = call in
+  let decision =
+    if unguarded meth then Policy.Allow else all_guards ~meth ~args ~env guards
+  in
+  match decision with
   | Policy.Deny reason -> k (Error (Err.Refused reason))
   | Policy.Allow -> (
       match meth with

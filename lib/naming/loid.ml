@@ -25,8 +25,18 @@ let compare a b =
     let c = Int64.compare a.class_specific b.class_specific in
     if c <> 0 then c else String.compare a.public_key b.public_key
 
+(* Mixes the fields directly instead of hashing a freshly built tuple:
+   every LOID-keyed table lookup pays for this. Bucket order changes
+   with it, which only [Table.fold] exposes, and its one caller sorts. *)
 let hash t =
-  Hashtbl.hash (t.class_id, t.class_specific, t.public_key)
+  let h =
+    (Int64.to_int t.class_id * 0x9E3779B1) + Int64.to_int t.class_specific
+  in
+  let h =
+    if String.length t.public_key = 0 then h
+    else h lxor Hashtbl.hash t.public_key
+  in
+  (h lxor (h lsr 32)) land max_int
 
 let pp ppf t =
   if String.length t.public_key = 0 then

@@ -178,7 +178,7 @@ and drop_msg t ~src ~dst ~at reason =
 and emit t ~host kind =
   match t.obs with
   | None -> ()
-  | Some r -> Recorder.emit r ~host ~site:t.host_tbl.(host).site kind
+  | Some r -> Recorder.emit_at r ~host ~site:t.host_tbl.(host).site kind
 
 let create ~sim ~prng ~codec ?(latency = default_latency) ?obs () =
   let t =
@@ -400,7 +400,7 @@ let add_partition_watcher t f =
   Partition_watcher id
 
 let is_partitioned t a b =
-  List.mem (norm_pair a b) t.partitions
+  match t.partitions with [] -> false | cuts -> List.mem (norm_pair a b) cuts
 
 let set_receiver t h f =
   check_host t h;

@@ -22,11 +22,19 @@ val create :
     @raise Invalid_argument when [capacity <= 0]. *)
 
 val emit : t -> ?host:int -> ?site:int -> Event.kind -> unit
-(** Stamp the kind with the clock and append it. O(1); a no-op while
-    disabled. *)
+(** Stamp the kind with the clock and append it; a no-op while
+    disabled. Amortised O(1): the ring allocates only when it doubles
+    on its way to [capacity], never per event. [host] and [site] are
+    the network's ids, which are never negative. *)
+
+val emit_at : t -> host:int -> site:int -> Event.kind -> unit
+(** [emit] for a caller that always knows both ids: the same event,
+    without boxing them into options on the way in. The network and
+    the runtime emit through this. *)
 
 val events : t -> Event.t list
-(** Retained events, oldest first. *)
+(** Retained events, oldest first. The [Event.t] records are built on
+    each read. *)
 
 val events_since : t -> int -> Event.t list
 (** Events with sequence number >= the given mark (a prior {!total}),

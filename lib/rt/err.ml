@@ -15,11 +15,10 @@ type t =
   | Txn_aborted of { txn : string }
   | Quota_exceeded of { tenant : string; retry_after : float }
   | Denied of { tenant : string; reason : string }
-  | Corrupt of string
   | Internal of string
 
 let is_delivery_failure = function
-  | No_such_object | Timeout | Unreachable _ | Stale_epoch | Corrupt _ -> true
+  | No_such_object | Timeout | Unreachable _ | Stale_epoch -> true
   | No_such_method _ | Refused _ | Bad_args _ | Not_bound _ | Overloaded _
   | No_quorum _ | Txn_locked _ | Txn_aborted _ | Quota_exceeded _ | Denied _
   | Internal _ ->
@@ -50,7 +49,6 @@ let equal a b =
   | Bad_args x, Bad_args y
   | Not_bound x, Not_bound y
   | Unreachable x, Unreachable y
-  | Corrupt x, Corrupt y
   | Internal x, Internal y ->
       String.equal x y
   | Overloaded a, Overloaded b -> Float.equal a.retry_after b.retry_after
@@ -65,8 +63,7 @@ let equal a b =
       String.equal a.tenant b.tenant && String.equal a.reason b.reason
   | ( ( No_such_object | No_such_method _ | Refused _ | Bad_args _ | Not_bound _
       | Timeout | Unreachable _ | Stale_epoch | Overloaded _ | No_quorum _
-      | Txn_locked _ | Txn_aborted _ | Quota_exceeded _ | Denied _ | Corrupt _
-      | Internal _ ),
+      | Txn_locked _ | Txn_aborted _ | Quota_exceeded _ | Denied _ | Internal _ ),
       _ ) ->
       false
 
@@ -93,7 +90,6 @@ let pp ppf = function
         retry_after
   | Denied { tenant; reason } ->
       Format.fprintf ppf "tenant %s denied: %s" tenant reason
-  | Corrupt r -> Format.fprintf ppf "corrupt payload: %s" r
   | Internal r -> Format.fprintf ppf "internal error: %s" r
 
 let to_string t = Format.asprintf "%a" pp t
@@ -140,7 +136,6 @@ let to_value = function
           ("tn", Value.Str tenant);
           ("d", Value.Str reason);
         ]
-  | Corrupt r -> Value.Record [ ("c", Value.Str "crp"); ("d", Value.Str r) ]
   | Internal r -> Value.Record [ ("c", Value.Str "int"); ("d", Value.Str r) ]
 
 let of_value v =
@@ -236,9 +231,6 @@ let of_value v =
   | "unr" ->
       let* d = detail () in
       Ok (Unreachable d)
-  | "crp" ->
-      let* d = detail () in
-      Ok (Corrupt d)
   | "int" ->
       let* d = detail () in
       Ok (Internal d)

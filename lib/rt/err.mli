@@ -76,20 +76,11 @@ type t =
           Distinct from [Refused] (a per-method MayI/activation-policy
           answer) in that it carries the judged principal for per-tenant
           attribution. *)
-  | Corrupt of string
-      (** The payload failed end-to-end integrity verification.
-          Classified as a delivery failure: the message never reached
-          the destination object, so retransmission (and, at the comm
-          layer, rebind-and-retry) is the correct response, exactly as
-          for a lost datagram. The simulated network never surfaces it
-          — a frame that fails its seal or does not decode to a message
-          is a counted [Corrupted] drop — but it stays in the error
-          codec (["crp"]) so the encoding keeps its full taxonomy. *)
   | Internal of string
 
 val is_delivery_failure : t -> bool
-(** True for [No_such_object], [Timeout], [Unreachable], [Stale_epoch]
-    and [Corrupt] — failures where the call never executed, so
+(** True for [No_such_object], [Timeout], [Unreachable] and
+    [Stale_epoch] — failures where the call never executed, so
     retrying (after a rebind if needed) is meaningful. [Overloaded] is
     deliberately excluded: the binding is good, the destination just
     wants the caller to slow down. *)

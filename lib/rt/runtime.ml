@@ -12,12 +12,13 @@ module Event = Legion_obs.Event
 module Recorder = Legion_obs.Recorder
 
 (* The exactly-once cache: (caller host, call id) -> entry, LRU-bounded
-   by [config.dedup_capacity]. *)
+   by [config.dedup_capacity]. Call ids are consecutive, so they alone
+   spread the low bits the table indexes by. *)
 module Dedup = Legion_util.Ordered.Make (struct
   type t = int * int
 
   let equal (h, i) (h', i') = Int.equal h h' && Int.equal i i'
-  let hash = Hashtbl.hash
+  let hash (h, i) = (i + (h * 0x9E3779B1)) land max_int
 end)
 
 type admission = {
@@ -91,6 +92,7 @@ type drr = {
 
 type proc = {
   loid : Loid.t;
+  life : life;  (* shared by every placement of [loid] *)
   host : Network.host_id;
   slot : int;
   kind : string;
@@ -104,10 +106,24 @@ type proc = {
   mutable handler : handler;
   mutable ba : Address.t option;
   mutable last_delivery : float;  (* when a call last reached it *)
-  mutable caller_sites : (int * int) list;
+  mutable site_calls : int array;
       (* site -> cumulative calls received from it; the locality signal
          the elastic rebalancer reads to migrate objects toward their
-         callers *)
+         callers. Grown on demand, so an uncalled process holds none. *)
+  mutable site_seen : int array;
+      (* site -> [caller_stamp] of its latest call, which orders
+         [caller_sites] most recent first *)
+}
+
+(* What the runtime keeps per LOID, in the one record every placement
+   of it points at, so the fence, the MTTR clock and the placement list
+   are field reads on the delivery path rather than table lookups. *)
+and life = {
+  mutable cur_epoch : int;  (* current incarnation; 0 until first bumped *)
+  mutable dead_at : float;
+      (* ConfirmDead time until the first post-recovery delivery; nan
+         while no MTTR clock runs *)
+  mutable placed : proc list;  (* active placements, newest first *)
 }
 
 and ctx = { rt : t; self : proc }
@@ -128,12 +144,9 @@ and t = {
   prng : Prng.t;
   config : config;
   mutable slot_tbl : proc option array;  (* slot -> instance; O(1) delivery routing *)
-  places : proc list Loid.Table.t;  (* loid -> active placements *)
+  lives : life Loid.Table.t;  (* absent = epoch 0, not dead, no placement *)
   pending : (int, pending) Hashtbl.t;
   attached : (int, unit) Hashtbl.t;  (* hosts with a receiver installed *)
-  epochs : int Loid.Table.t;  (* loid -> current incarnation, absent = 0 *)
-  dead_since : float Loid.Table.t;
-      (* loid -> ConfirmDead time, until the first post-recovery delivery *)
   obs : Recorder.t;
   breakers : Breaker.t option;  (* per-destination circuit state *)
   mutable tenants : Tenant.t option;  (* principal registry; None = untenanted *)
@@ -144,10 +157,11 @@ and t = {
   mutable delivered : int;
   mutable sheds : int;  (* calls rejected by admission control *)
   mutable dedup_hits : int;  (* duplicate deliveries absorbed or replayed *)
+  mutable caller_stamp : int;  (* deliveries noted by [note_caller] *)
 }
 
 let emit rt ~host kind =
-  Recorder.emit rt.obs ~host ~site:(Network.site_of rt.net host) kind
+  Recorder.emit_at rt.obs ~host ~site:(Network.site_of rt.net host) kind
 
 (* Slots are allocated globally (never reused), so a plain array is the
    routing table: delivery resolves a destination slot without hashing
@@ -170,13 +184,21 @@ let slot_set rt slot proc =
 (* ------------------------------------------------------------------ *)
 (* Epochs (incarnation numbers).                                       *)
 
+let life_of rt loid =
+  match Loid.Table.find rt.lives loid with
+  | Some l -> l
+  | None ->
+      let l = { cur_epoch = 0; dead_at = Float.nan; placed = [] } in
+      Loid.Table.set rt.lives loid l;
+      l
+
 let current_epoch rt loid =
-  Option.value ~default:0 (Loid.Table.find rt.epochs loid)
+  match Loid.Table.find rt.lives loid with Some l -> l.cur_epoch | None -> 0
 
 let bump_epoch rt loid =
-  let e = current_epoch rt loid + 1 in
-  Loid.Table.set rt.epochs loid e;
-  e
+  let l = life_of rt loid in
+  l.cur_epoch <- l.cur_epoch + 1;
+  l.cur_epoch
 
 (* The one kind whose population grows with the number of objects;
    the others are infrastructure processes. *)
@@ -209,16 +231,16 @@ let kill rt proc =
     (* Application placements come and go with the objects, so their
        counters would pile up; their requests stay in the group totals. *)
     if is_app proc.kind then Counter.Registry.retire rt.registry proc.counter;
-    let remaining =
-      List.filter
-        (fun p -> not (p.host = proc.host && p.slot = proc.slot))
-        (Option.value ~default:[] (Loid.Table.find rt.places proc.loid))
-    in
-    if remaining = [] then Loid.Table.remove rt.places proc.loid
-    else Loid.Table.set rt.places proc.loid remaining
+    let l = proc.life in
+    l.placed <- List.filter (fun p -> p != proc) l.placed;
+    (* A record left holding only defaults says nothing an absent one
+       would not; dropping it keeps never-bumped LOIDs from piling up. *)
+    if l.placed = [] && l.cur_epoch = 0 && Float.is_nan l.dead_at then
+      Loid.Table.remove rt.lives proc.loid
   end
 
-let placements rt loid = Option.value ~default:[] (Loid.Table.find rt.places loid)
+let placements rt loid =
+  match Loid.Table.find rt.lives loid with Some l -> l.placed | None -> []
 
 let kill_loid rt loid = List.iter (kill rt) (placements rt loid)
 
@@ -239,7 +261,7 @@ let procs_on_host rt host =
 let reap_rebooted rt host =
   List.iter
     (fun p ->
-      let cur = current_epoch rt p.loid in
+      let cur = p.life.cur_epoch in
       if p.epoch < cur then begin
         emit rt ~host
           (Event.Fence { loid = p.loid; epoch = p.epoch; current = cur });
@@ -261,11 +283,9 @@ let create ~sim ~net ~registry ~prng ?(config = default_config) ?obs () =
       prng;
       config;
       slot_tbl = Array.make 256 None;
-      places = Loid.Table.create ();
+      lives = Loid.Table.create ();
       pending = Hashtbl.create 256;
       attached = Hashtbl.create 64;
-      epochs = Loid.Table.create ();
-      dead_since = Loid.Table.create ();
       obs;
       breakers = Option.map Breaker.create config.breaker;
       tenants = None;
@@ -277,6 +297,7 @@ let create ~sim ~net ~registry ~prng ?(config = default_config) ?obs () =
       delivered = 0;
       sheds = 0;
       dedup_hits = 0;
+      caller_stamp = 0;
     }
   in
   Network.set_host_watcher net
@@ -292,14 +313,11 @@ let now rt = Engine.now rt.sim
 let obs rt = rt.obs
 
 let mark_dead rt loid =
-  if not (Loid.Table.mem rt.dead_since loid) then
-    Loid.Table.set rt.dead_since loid (now rt)
+  let l = life_of rt loid in
+  if Float.is_nan l.dead_at then l.dead_at <- now rt
 
 let forget rt loid =
-  if placements rt loid = [] then begin
-    Loid.Table.remove rt.epochs loid;
-    Loid.Table.remove rt.dead_since loid
-  end
+  if placements rt loid = [] then Loid.Table.remove rt.lives loid
 
 (* ------------------------------------------------------------------ *)
 (* Breaker bookkeeping.                                                *)
@@ -410,11 +428,11 @@ let rec deliver_call rt proc ~queued ?tn call reply_to =
   proc.counter |> Counter.incr;
   proc.last_delivery <- Engine.now rt.sim;
   rt.delivered <- rt.delivered + 1;
-  (match Loid.Table.find rt.dead_since proc.loid with
-  | Some t0 ->
-      Loid.Table.remove rt.dead_since proc.loid;
-      Recorder.observe rt.obs ~component:"rt.mttr" (Engine.now rt.sim -. t0)
-  | None -> ());
+  (let t0 = proc.life.dead_at in
+   if not (Float.is_nan t0) then begin
+     proc.life.dead_at <- Float.nan;
+     Recorder.observe rt.obs ~component:"rt.mttr" (Engine.now rt.sim -. t0)
+   end);
   (match proc.admission with
   | Some _ ->
       emit rt ~host:proc.host
@@ -493,10 +511,14 @@ and drain_queue rt proc =
 
 let note_caller rt proc ~src_host =
   let site = Network.site_of rt.net src_host in
-  proc.caller_sites <-
-    (match List.assoc_opt site proc.caller_sites with
-    | Some n -> (site, n + 1) :: List.remove_assoc site proc.caller_sites
-    | None -> (site, 1) :: proc.caller_sites)
+  if site >= Array.length proc.site_calls then begin
+    let grow a = Array.append a (Array.make (site + 1 - Array.length a) 0) in
+    proc.site_calls <- grow proc.site_calls;
+    proc.site_seen <- grow proc.site_seen
+  end;
+  rt.caller_stamp <- rt.caller_stamp + 1;
+  proc.site_calls.(site) <- proc.site_calls.(site) + 1;
+  proc.site_seen.(site) <- rt.caller_stamp
 
 let admit_call rt proc call reply_to =
   match proc.admission with
@@ -651,7 +673,7 @@ let on_receive rt host ~src:_ (msg : Msg.t) =
           | Some proc
             when proc.live && proc.host = host
                  && (is_wildcard || Loid.equal proc.loid dst_loid) ->
-              let cur = current_epoch rt proc.loid in
+              let cur = proc.life.cur_epoch in
               if proc.epoch < cur then begin
                 (* A superseded incarnation must never answer: fence it
                    so the caller's rebind machinery finds the current
@@ -715,9 +737,8 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
     | Some a -> a
     | None -> if is_app kind then rt.config.admission else None
   in
-  let epoch =
-    match epoch with Some e -> e | None -> current_epoch rt loid
-  in
+  let life = life_of rt loid in
+  let epoch = match epoch with Some e -> e | None -> life.cur_epoch in
   let slot = rt.next_slot in
   rt.next_slot <- rt.next_slot + 1;
   (* Replicas share a LOID but not a counter: the placement's slot
@@ -730,6 +751,7 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
   let proc =
     {
       loid;
+      life;
       host;
       slot;
       kind;
@@ -743,12 +765,12 @@ let spawn rt ~host ~loid ~kind ?epoch ?cache_capacity ?binding_agent ?admission
       handler;
       ba = binding_agent;
       last_delivery = Engine.now rt.sim;
-      caller_sites = [];
+      site_calls = [||];
+      site_seen = [||];
     }
   in
   slot_set rt slot proc;
-  let existing = Option.value ~default:[] (Loid.Table.find rt.places loid) in
-  Loid.Table.set rt.places loid (proc :: existing);
+  life.placed <- proc :: life.placed;
   emit rt ~host (Event.Activate { loid });
   proc
 
@@ -801,7 +823,7 @@ let proc_epoch p = p.epoch
    repair protocol bumps the LOID's epoch so the dead replica's stale
    addresses fence, and the survivors — still part of the replica set —
    must move to the new incarnation or the fence would eat them too. *)
-let refresh_epoch rt p = p.epoch <- current_epoch rt p.loid
+let refresh_epoch _rt p = p.epoch <- p.life.cur_epoch
 
 let set_handler p h = p.handler <- h
 let set_binding_agent p ba = p.ba <- ba
@@ -1180,7 +1202,14 @@ let dedup_hits rt = rt.dedup_hits
 let dedup_stats rt =
   Option.map (fun c -> (Dedup.length c, Dedup.evictions c)) rt.dedup
 let requests_of p = Counter.value p.counter
-let caller_sites p = p.caller_sites
+(* Most recently calling site first, as a move-to-front list would keep
+   them: [Sched_part.dominant_site] breaks ties by this order. *)
+let caller_sites p =
+  let noted = ref [] in
+  Array.iteri
+    (fun site n -> if n > 0 then noted := (p.site_seen.(site), (site, n)) :: !noted)
+    p.site_calls;
+  List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare b a) !noted)
 
 let breaker_phase rt host =
   Option.map (fun b -> Breaker.phase_name b host) rt.breakers

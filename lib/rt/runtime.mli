@@ -226,8 +226,9 @@ val mark_dead : t -> Loid.t -> unit
     the elapsed virtual time in the ["rt.mttr"] histogram. *)
 
 val forget : t -> Loid.t -> unit
-(** Drop what the runtime keeps per LOID — its incarnation number and
-    any running MTTR clock — once the object is deleted, so a deleted
+(** Drop what the runtime keeps per LOID — one record holding its
+    incarnation number, any running MTTR clock and its placements —
+    once the object is deleted, so a deleted
     object leaves nothing behind. A no-op while the LOID still has a
     placement (the epoch must keep fencing it). LOIDs are never
     re-minted, so nothing asks for the forgotten epoch again. The
@@ -439,8 +440,10 @@ val caller_sites : proc -> (Legion_net.Network.site_id * int) list
     caller's site. This is the locality signal behind §3.8's
     "schedulers may migrate objects toward their callers": a rebalancer
     diffs successive snapshots to find where an object's demand
-    actually comes from. Unordered; sites it never heard from are
-    absent. *)
+    actually comes from. The site that called last comes first, then
+    the others by how recently they called; sites it never heard from
+    are absent. Delivery only bumps a per-site count and stamp, and
+    this reader builds the list. *)
 
 val breaker_phase : t -> Legion_net.Network.host_id -> string option
 (** The circuit phase toward a destination host (["closed"], ["open"],

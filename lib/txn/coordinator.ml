@@ -128,7 +128,7 @@ let reason_of = function
   | Err.Timeout -> "timeout"
   | Err.Refused _ | Err.Denied _ -> "refused"
   | Err.No_quorum _ -> "no-quorum"
-  | Err.No_such_object | Err.Unreachable _ | Err.Corrupt _ -> "unreachable"
+  | Err.No_such_object | Err.Unreachable _ -> "unreachable"
   | Err.Txn_aborted _ -> "nested-abort"
   | Err.No_such_method _ | Err.Bad_args _ -> "bad-call"
   | Err.Not_bound _ | Err.Internal _ -> "error"

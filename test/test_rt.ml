@@ -420,6 +420,114 @@ let test_non_sim_element_unreachable () =
   | Error (Err.Unreachable _) -> ()
   | _ -> Alcotest.fail "IP element should be unroutable in simulation"
 
+(* --- per-LOID state and caller counts --- *)
+
+let expect_ok what = function
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s: %s" what (Err.to_string e)
+
+let show = Result.fold ~ok:Value.to_string ~error:Err.to_string
+
+(* [caller_sites] must read exactly as the move-to-front list it
+   replaced: the calling site first, counts cumulative. The elastic
+   rebalancer breaks ties between equally busy sites by this order. *)
+let caller_sites_move_to_front =
+  let sites = 4 in
+  QCheck.Test.make ~name:"caller_sites is a move-to-front list" ~count:40
+    QCheck.(list_of_size Gen.(0 -- 30) (int_bound (sites - 1)))
+    (fun callers ->
+      let f = make_fixture ~sites ~hosts_per_site:1 () in
+      let server = spawn_echo f ~host:(List.hd f.hosts) ~id:1 in
+      let clients =
+        List.mapi (fun i host -> spawn_client f ~host ~id:(10 + i)) f.hosts
+      in
+      let reference =
+        List.fold_left
+          (fun acc site ->
+            let ctx = { Runtime.rt = f.rt; self = List.nth clients site } in
+            expect_ok "echo" (call f ctx ~dst_proc:server ~meth:"Echo" ~args:[]);
+            match List.assoc_opt site acc with
+            | Some n -> (site, n + 1) :: List.remove_assoc site acc
+            | None -> (site, 1) :: acc)
+          [] callers
+      in
+      Runtime.caller_sites server = reference)
+
+let mttr f = Legion_obs.Recorder.latency (Runtime.obs f.rt) ~component:"rt.mttr"
+
+let mttr_samples f =
+  Option.fold ~none:0 ~some:Legion_util.Stats.Histogram.total (mttr f)
+
+(* One record per LOID holds its incarnation, its MTTR clock and its
+   placements; each use of it on the delivery path is checked here. *)
+let test_life_record () =
+  let f = make_fixture () in
+  let host = List.nth f.hosts 1 in
+  let server = spawn_echo f ~host ~id:1 in
+  let client = spawn_client f ~host:(List.hd f.hosts) ~id:2 in
+  let ctx = { Runtime.rt = f.rt; self = client } in
+  let echo () = call f ctx ~dst_proc:server ~meth:"Echo" ~args:[] in
+  (* A bump fences the placement until it is carried across. *)
+  Alcotest.(check int) "bumped" 1 (Runtime.bump_epoch f.rt (loid 1));
+  (match echo () with
+  | Error Err.Stale_epoch -> ()
+  | r -> Alcotest.failf "expected a fence, got %s" (show r));
+  Runtime.refresh_epoch f.rt server;
+  Alcotest.(check int) "carried across" 1 (Runtime.proc_epoch server);
+  expect_ok "after refresh" (echo ());
+  (* The MTTR clock starts at the first [mark_dead] and stops at the
+     first delivery, once. *)
+  Runtime.mark_dead f.rt (loid 1);
+  ignore (Engine.schedule f.sim ~delay:2.0 (fun () -> ()));
+  Engine.run f.sim;
+  Runtime.mark_dead f.rt (loid 1);
+  Alcotest.(check int) "no sample before a delivery" 0 (mttr_samples f);
+  expect_ok "first delivery" (echo ());
+  Alcotest.(check int) "one sample" 1 (mttr_samples f);
+  Alcotest.(check bool) "timed from the first mark" true
+    (Legion_util.Stats.Histogram.percentile (Option.get (mttr f)) 50.0 >= 1.0);
+  expect_ok "second delivery" (echo ());
+  Alcotest.(check int) "still one sample" 1 (mttr_samples f);
+  (* Forgetting waits for the last placement to go. *)
+  Runtime.forget f.rt (loid 1);
+  Alcotest.(check int) "kept while placed" 1 (Runtime.current_epoch f.rt (loid 1));
+  Runtime.kill f.rt server;
+  Alcotest.(check int) "kept after kill" 1 (Runtime.current_epoch f.rt (loid 1));
+  Runtime.forget f.rt (loid 1);
+  Alcotest.(check int) "forgotten" 0 (Runtime.current_epoch f.rt (loid 1));
+  Alcotest.(check bool) "no placement" true (Runtime.placements f.rt (loid 1) = [])
+
+(* A power failure leaves the placement in the process table; once the
+   object is reactivated elsewhere under a bumped epoch, the zombie
+   is fenced when its host comes back. *)
+let test_power_fail_zombie_fenced () =
+  let f = make_fixture () in
+  let old_host = List.nth f.hosts 1 and new_host = List.nth f.hosts 2 in
+  let zombie = spawn_echo f ~host:old_host ~id:1 in
+  let client = spawn_client f ~host:(List.hd f.hosts) ~id:2 in
+  let ctx = { Runtime.rt = f.rt; self = client } in
+  Runtime.power_fail f.rt old_host;
+  Alcotest.(check bool) "survives the power failure" true (Runtime.is_live zombie);
+  ignore (Runtime.bump_epoch f.rt (loid 1));
+  let fresh = spawn_echo f ~host:new_host ~id:1 in
+  Alcotest.(check int) "fresh placement is current" 1 (Runtime.proc_epoch fresh);
+  let mark = Legion_obs.Recorder.total (Runtime.obs f.rt) in
+  Network.set_host_up f.net old_host true;
+  Alcotest.(check bool) "zombie reaped" false (Runtime.is_live zombie);
+  Alcotest.(check bool) "reaping is fenced" true
+    (List.exists
+       (fun e ->
+         match e.Legion_obs.Event.kind with
+         | Legion_obs.Event.Fence { epoch = 0; current = 1; _ } -> true
+         | _ -> false)
+       (Legion_obs.Recorder.events_since (Runtime.obs f.rt) mark));
+  Alcotest.(check bool) "only the fresh placement" true
+    (match Runtime.placements f.rt (loid 1) with [ p ] -> p == fresh | _ -> false);
+  expect_ok "fresh answers" (call f ctx ~dst_proc:fresh ~meth:"Echo" ~args:[]);
+  match call f ctx ~dst_proc:zombie ~meth:"Echo" ~args:[] with
+  | Error Err.No_such_object -> ()
+  | r -> Alcotest.failf "zombie answered: %s" (show r)
+
 let () =
   Alcotest.run "rt"
     [
@@ -454,5 +562,12 @@ let () =
             test_no_agent_unreachable;
           Alcotest.test_case "seeded binding" `Quick test_seed_binding_skips_agent;
           Alcotest.test_case "double reply ignored" `Quick test_double_reply_ignored;
+        ] );
+      ( "life",
+        [
+          QCheck_alcotest.to_alcotest caller_sites_move_to_front;
+          Alcotest.test_case "epoch, MTTR clock and forget" `Quick test_life_record;
+          Alcotest.test_case "power-fail zombie fenced" `Quick
+            test_power_fail_zombie_fenced;
         ] );
     ]

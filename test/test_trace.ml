@@ -249,6 +249,98 @@ let test_recorder_ring () =
     (Invalid_argument "Recorder.create: capacity must be positive") (fun () ->
       ignore (Recorder.create ~capacity:0 ~clock:(fun () -> 0.0) ()))
 
+(* The ring against a plain list: any interleaving of emits (with and
+   without a host or site), clears, marks, enable toggles, growth and
+   wraps reads back exactly what a list of every event since the last
+   clear would give, including which host and site were absent. The
+   larger capacities make the ring grow past its initial 1,024 slots
+   before it wraps. *)
+type rec_op =
+  | Emit of int option * int option
+  | Burst of int  (* that many emits, host and site from the count *)
+  | Clear
+  | Mark
+  | Toggle
+
+let rec_op_print = function
+  | Emit (h, s) ->
+      let o = function Some i -> string_of_int i | None -> "-" in
+      Printf.sprintf "emit(%s,%s)" (o h) (o s)
+  | Burst k -> Printf.sprintf "burst(%d)" k
+  | Clear -> "clear"
+  | Mark -> "mark"
+  | Toggle -> "toggle"
+
+let recorder_matches_list_model =
+  let id = QCheck.Gen.(opt ~ratio:0.7 (0 -- 9)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map2 (fun h s -> Emit (h, s)) id id);
+          (1, map (fun k -> Burst k) (100 -- 700));
+          (1, return Clear);
+          (2, return Mark);
+          (1, return Toggle);
+        ])
+  in
+  let capacity = QCheck.Gen.(oneof [ 1 -- 8; 1000 -- 2500 ]) in
+  let case = QCheck.Gen.(pair capacity (list_size (0 -- 60) op)) in
+  QCheck.Test.make ~name:"ring reads back as a list model" ~count:100
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat " " (List.map rec_op_print ops)))
+       case)
+    (fun (capacity, ops) ->
+      let clock = ref 0.0 in
+      let r = Recorder.create ~capacity ~clock:(fun () -> !clock) () in
+      (* Model: every event since the last clear, newest first. *)
+      let log = ref [] and on = ref true and marks = ref [] and n = ref 0 in
+      let rec take k = function
+        | x :: rest when k > 0 -> x :: take (k - 1) rest
+        | _ -> []
+      in
+      let agrees () =
+        let total = List.length !log in
+        let kept = List.rev (take capacity !log) in
+        let since m =
+          List.filteri (fun i _ -> total - List.length kept + i >= m) kept
+        in
+        Recorder.total r = total
+        && Recorder.retained r = List.length kept
+        && Recorder.overwritten r = total - List.length kept
+        && Recorder.events r = kept
+        && List.for_all (fun m -> Recorder.events_since r m = since m) !marks
+      in
+      let emit host site =
+        incr n;
+        clock := float_of_int !n /. 8.0;
+        let kind = Event.Timeout { id = !n } in
+        Recorder.emit r ?host ?site kind;
+        if !on then log := { Event.time = !clock; host; site; kind } :: !log
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Emit (host, site) -> emit host site
+          | Burst k ->
+              for i = 1 to k do
+                emit
+                  (if i mod 3 = 0 then None else Some (i mod 7))
+                  (if i mod 5 = 0 then None else Some (i mod 4))
+              done
+          | Clear ->
+              Recorder.clear r;
+              log := [];
+              marks := []
+          | Mark -> marks := Recorder.total r :: !marks
+          | Toggle ->
+              on := not !on;
+              Recorder.set_enabled r !on);
+          agrees ())
+        ops)
+
 let test_recorder_latency () =
   let r = Recorder.create ~clock:(fun () -> 0.0) () in
   Alcotest.(check bool) "no histogram before observe" true
@@ -317,6 +409,7 @@ let () =
       ( "recorder",
         [
           Alcotest.test_case "ring buffer" `Quick test_recorder_ring;
+          QCheck_alcotest.to_alcotest recorder_matches_list_model;
           Alcotest.test_case "latency histograms" `Quick test_recorder_latency;
           Alcotest.test_case "system latency components" `Quick
             test_system_observes_latency;

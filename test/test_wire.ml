@@ -221,7 +221,6 @@ let err_gen : Err.t QCheck.Gen.t =
         (fun t r -> Err.Quota_exceeded { tenant = t; retry_after = r })
         s ra;
       map2 (fun t d -> Err.Denied { tenant = t; reason = d }) s s;
-      map (fun d -> Err.Corrupt d) s;
       map (fun d -> Err.Internal d) s;
     ]
 
