@@ -21,9 +21,9 @@
     [sequential], [select] and [stateless] keywords — Mentat's
     concurrency annotations — are accepted and discarded: they direct
     Mentat's compiler, not the interface. Comments are [// …] or
-    [/* … */]. *)
+    [/* … */], read by the {!Lexer} that {!Parser} also uses. *)
 
-type error = { line : int; col : int; message : string }
+type error = Lexer.error = { line : int; col : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 

@@ -1,115 +1,8 @@
-type error = { line : int; col : int; message : string }
+open Lexer
 
-let pp_error ppf e =
-  Format.fprintf ppf "line %d, column %d: %s" e.line e.col e.message
+type error = Lexer.error = { line : int; col : int; message : string }
 
-type token =
-  | Ident of string
-  | Lbrace
-  | Rbrace
-  | Lparen
-  | Rparen
-  | Langle
-  | Rangle
-  | Colon
-  | Semi
-  | Comma
-  | Eof
-
-let token_name = function
-  | Ident s -> Printf.sprintf "identifier %S" s
-  | Lbrace -> "'{'"
-  | Rbrace -> "'}'"
-  | Lparen -> "'('"
-  | Rparen -> "')'"
-  | Langle -> "'<'"
-  | Rangle -> "'>'"
-  | Colon -> "':'"
-  | Semi -> "';'"
-  | Comma -> "','"
-  | Eof -> "end of input"
-
-type lexed = { tok : token; line : int; col : int }
-
-exception Parse_error of error
-
-let fail ~line ~col fmt =
-  Format.kasprintf (fun message -> raise (Parse_error { line; col; message })) fmt
-
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
-
-let lex src =
-  let n = String.length src in
-  let toks = ref [] in
-  let line = ref 1 and col = ref 1 in
-  let i = ref 0 in
-  let emit tok = toks := { tok; line = !line; col = !col } :: !toks in
-  let advance () =
-    (if !i < n then
-       if src.[!i] = '\n' then begin
-         incr line;
-         col := 1
-       end
-       else incr col);
-    incr i
-  in
-  while !i < n do
-    let c = src.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then advance ()
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '/' then
-      while !i < n && src.[!i] <> '\n' do
-        advance ()
-      done
-    else if is_ident_start c then begin
-      let start = !i in
-      let start_line = !line and start_col = !col in
-      while !i < n && is_ident_char src.[!i] do
-        advance ()
-      done;
-      toks :=
-        { tok = Ident (String.sub src start (!i - start)); line = start_line; col = start_col }
-        :: !toks
-    end
-    else begin
-      (match c with
-      | '{' -> emit Lbrace
-      | '}' -> emit Rbrace
-      | '(' -> emit Lparen
-      | ')' -> emit Rparen
-      | '<' -> emit Langle
-      | '>' -> emit Rangle
-      | ':' -> emit Colon
-      | ';' -> emit Semi
-      | ',' -> emit Comma
-      | c -> fail ~line:!line ~col:!col "unexpected character %C" c);
-      advance ()
-    end
-  done;
-  toks := { tok = Eof; line = !line; col = !col } :: !toks;
-  List.rev !toks
-
-type state = { mutable toks : lexed list }
-
-let peek st = match st.toks with [] -> assert false | t :: _ -> t
-
-let next st =
-  let t = peek st in
-  (match st.toks with [] -> () | _ :: rest -> st.toks <- rest);
-  t
-
-let expect st tok =
-  let t = next st in
-  if t.tok <> tok then
-    fail ~line:t.line ~col:t.col "expected %s, found %s" (token_name tok)
-      (token_name t.tok)
-
-let ident st =
-  let t = next st in
-  match t.tok with
-  | Ident s -> s
-  | other -> fail ~line:t.line ~col:t.col "expected identifier, found %s" (token_name other)
+let pp_error = Lexer.pp_error
 
 let rec parse_ty st : Ty.t =
   let t = next st in
@@ -196,49 +89,8 @@ let parse_interface st =
   | other ->
       fail ~line:t.line ~col:t.col "expected 'interface', found %s" (token_name other));
   let iname = ident st in
-  expect st Lbrace;
-  let sigs = ref [] in
-  let rec loop () =
-    match (peek st).tok with
-    | Rbrace -> ignore (next st)
-    | _ ->
-        sigs := parse_method st :: !sigs;
-        loop ()
-  in
-  loop ();
-  (match (peek st).tok with Semi -> ignore (next st) | _ -> ());
-  match Interface.make ~name:iname (List.rev !sigs) with
-  | iface -> iface
-  | exception Invalid_argument msg -> fail ~line:t.line ~col:t.col "%s" msg
+  body st ~name:iname ~at:t parse_method
 
-let run f src =
-  match f { toks = lex src } with
-  | v -> Ok v
-  | exception Parse_error e -> Error e
-
-let interface src =
-  run
-    (fun st ->
-      let iface = parse_interface st in
-      expect st Eof;
-      iface)
-    src
-
-let file src =
-  run
-    (fun st ->
-      let rec loop acc =
-        match (peek st).tok with
-        | Eof -> List.rev acc
-        | _ -> loop (parse_interface st :: acc)
-      in
-      loop [])
-    src
-
-let ty src =
-  run
-    (fun st ->
-      let t = parse_ty st in
-      expect st Eof;
-      t)
-    src
+let interface src = whole parse_interface src
+let file src = Lexer.file parse_interface src
+let ty src = whole parse_ty src

@@ -1,6 +1,7 @@
 (** Parser for the concrete IDL syntax.
 
-    Grammar (comments are [// to end of line]):
+    Grammar (comments are [// to end of line] or [/* … */]; the lexer
+    is {!Lexer}, shared with {!Mpl}):
     {v
     file       ::= interface*
     interface  ::= "interface" IDENT "{" method* "}" ";"?
@@ -15,7 +16,7 @@
     A method without a result type returns [unit]. Parsing a printed
     {!Interface.pp} round-trips. *)
 
-type error = { line : int; col : int; message : string }
+type error = Lexer.error = { line : int; col : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 

@@ -4,7 +4,6 @@ module Value = Legion_wire.Value
 module Loid = Legion_naming.Loid
 module Address = Legion_naming.Address
 module Binding = Legion_naming.Binding
-module Interface = Legion_idl.Interface
 module Parser = Legion_idl.Parser
 module Engine = Legion_sim.Engine
 module Network = Legion_net.Network
@@ -43,7 +42,7 @@ type t = {
   registry : Counter.Registry.r;
   prng : Prng.t;
   obs : Legion_obs.Recorder.t;
-  sites : site list;
+  mutable sites : site list;
   legion_class_binding : Binding.t;
   mutable next_ext : int64;
 }
@@ -165,6 +164,47 @@ let parse_idl src =
 let abstract_flags =
   { Class_part.abstract = true; private_ = false; fixed = false }
 
+(* --- Starting infrastructure objects "from the shell" (§4.2.1). --- *)
+
+(* Every externally-started object is one service part plus the object
+   part (LegionClass adds the metaclass part in [units]), activated on
+   [host] without asking any class. *)
+let start_part rt ~host ~loid ~kind ?binding_agent ?(units = [])
+    (unit_name, state) =
+  let opr =
+    Opr.make ~states:[ (unit_name, state) ] ?binding_agent ~kind
+      ~units:(units @ [ unit_name; Well_known.unit_object ])
+      ()
+  in
+  match Impl.activate rt ~host ~loid opr with
+  | Ok proc -> proc
+  | Error msg ->
+      failwith
+        (Printf.sprintf "System: cannot start %s: %s" (Loid.to_string loid) msg)
+
+let start_agent t ?capacity ?parent ~host () =
+  let loid = fresh_instance_loid t ~of_class:Well_known.legion_binding_agent in
+  start_part t.rt ~host ~loid ~kind:Well_known.kind_binding_agent
+    ( Agent_part.unit_name,
+      Agent_part.state_value ?capacity ?parent
+        ~legion_class:t.legion_class_binding () )
+
+let start_host_object t ?(cls = Well_known.legion_host) ~binding_agent host =
+  let loid = fresh_instance_loid t ~of_class:cls in
+  ( loid,
+    start_part t.rt ~host ~loid ~kind:Well_known.kind_host ~binding_agent
+      (Host_part.unit_name, Host_part.state_value ()) )
+
+(* The Jurisdiction's storage is registered under [name] before its
+   Magistrate activates, as [Magistrate_part.state_value] requires. *)
+let start_magistrate t ~host ~binding_agent ~storage ~name ~hosts =
+  Magistrate_part.register_storage name storage;
+  let loid = fresh_instance_loid t ~of_class:Well_known.legion_magistrate in
+  ( loid,
+    start_part t.rt ~host ~loid ~kind:Well_known.kind_magistrate ~binding_agent
+      ( Magistrate_part.unit_name,
+        Magistrate_part.state_value ~hosts ~jurisdiction:name () ) )
+
 let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
     ?object_cache_capacity ?trace_capacity ~sites:site_spec () =
   if site_spec = [] then invalid_arg "System.boot: no sites";
@@ -206,70 +246,51 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
 
   (* --- Core class objects, spawned directly ("from the shell"). --- *)
   let spawn_core_class ~loid ~iface ~instance_units ~instance_kind
-      ?instance_cache_capacity ~flags ~host ~ba () =
+      ?instance_cache_capacity ?binding_agent () =
     let state =
       Class_part.init_state ~interface:iface ~instance_units ~instance_kind
-        ?instance_cache_capacity ~flags ~class_id:(Loid.class_id loid) ()
+        ?instance_cache_capacity ~flags:abstract_flags
+        ~class_id:(Loid.class_id loid) ()
     in
     let units =
-      if Loid.equal loid Well_known.legion_class then
-        [ Well_known.unit_metaclass; Well_known.unit_class; Well_known.unit_object ]
-      else [ Well_known.unit_class; Well_known.unit_object ]
+      if Loid.equal loid Well_known.legion_class then [ Well_known.unit_metaclass ]
+      else []
     in
-    let opr =
-      Opr.make
-        ~states:[ (Well_known.unit_class, state) ]
-        ?binding_agent:ba ~kind:Well_known.kind_class ~units ()
-    in
-    match Impl.activate rt ~host ~loid opr with
-    | Ok proc -> proc
-    | Error msg ->
-        failwith (Printf.sprintf "bootstrap: cannot start %s: %s"
-                    (Loid.to_string loid) msg)
+    start_part rt ~host:host0 ~loid ~kind:Well_known.kind_class ?binding_agent
+      ~units (Well_known.unit_class, state)
   in
 
   (* LegionClass first: everything else's resolution terminates at it. *)
   let legion_class_proc =
     spawn_core_class ~loid:Well_known.legion_class ~iface:(parse_idl class_idl)
       ~instance_units:[ Well_known.unit_class; Well_known.unit_object ]
-      ~instance_kind:Well_known.kind_class ~flags:abstract_flags ~host:host0
-      ~ba:None ()
+      ~instance_kind:Well_known.kind_class ()
   in
   let legion_class_binding = Runtime.binding_of rt legion_class_proc in
   (* Bindings minted during bootstrap must not expire. *)
   let legion_class_binding = Binding.with_expiry legion_class_binding None in
+  let t =
+    {
+      sim;
+      net;
+      rt;
+      registry;
+      prng;
+      obs;
+      sites = [];
+      legion_class_binding;
+      next_ext = 0L;
+    }
+  in
 
   (* --- Per-site Binding Agents (flat by default). --- *)
-  let next_ext = ref 0L in
-  let fresh of_class =
-    let spec = Int64.add ext_base !next_ext in
-    next_ext := Int64.add !next_ext 1L;
-    Loid.make ~class_id:(Loid.class_id of_class) ~class_specific:spec ()
-  in
   let agents =
     List.map
-      (fun (_name, _sid, hosts) ->
-        let loid = fresh Well_known.legion_binding_agent in
-        let state =
-          Agent_part.state_value ?capacity:agent_cache_capacity
-            ~legion_class:legion_class_binding ()
-        in
-        let opr =
-          Opr.make
-            ~states:[ (Agent_part.unit_name, state) ]
-            ~kind:Well_known.kind_binding_agent
-            ~units:[ Agent_part.unit_name; Well_known.unit_object ]
-            ()
-        in
-        match Impl.activate rt ~host:(List.hd hosts) ~loid opr with
-        | Ok proc -> (loid, proc, Runtime.address_of proc)
-        | Error msg -> failwith ("bootstrap: binding agent: " ^ msg))
+      (fun (_, _, hosts) ->
+        start_agent t ?capacity:agent_cache_capacity ~host:(List.hd hosts) ())
       site_hosts
   in
-  let agent_address_of_site i =
-    let _, _, addr = List.nth agents i in
-    addr
-  in
+  let agent_address_of_site i = Runtime.address_of (List.nth agents i) in
 
   (* Give the core class objects a Binding Agent (site 0's). *)
   Runtime.set_binding_agent legion_class_proc (Some (agent_address_of_site 0));
@@ -295,42 +316,26 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
            let proc =
              spawn_core_class ~loid ~iface:(parse_idl idl) ~instance_units
                ~instance_kind ?instance_cache_capacity:object_cache_capacity
-               ~flags:abstract_flags ~host:host0
-               ~ba:(Some (agent_address_of_site 0)) ()
+               ~binding_agent:(agent_address_of_site 0) ()
            in
            (loid, proc))
          core_rest
   in
 
   (* --- Host Objects: one per simulated host. --- *)
-  let sites_hosts_objs =
+  let host_objs =
     List.mapi
-      (fun i (name, sid, hosts) ->
-        let agent_addr = agent_address_of_site i in
-        let host_objs =
-          List.map
-            (fun h ->
-              let loid = fresh Well_known.legion_host in
-              let opr =
-                Opr.make
-                  ~states:[ (Host_part.unit_name, Host_part.state_value ()) ]
-                  ~binding_agent:agent_addr ~kind:Well_known.kind_host
-                  ~units:[ Host_part.unit_name; Well_known.unit_object ]
-                  ()
-              in
-              match Impl.activate rt ~host:h ~loid opr with
-              | Ok proc -> (loid, proc)
-              | Error msg -> failwith ("bootstrap: host object: " ^ msg))
-            hosts
-        in
-        (name, sid, hosts, host_objs))
+      (fun i (_, _, hosts) ->
+        List.map
+          (start_host_object t ~binding_agent:(agent_address_of_site i))
+          hosts)
       site_hosts
   in
 
   (* --- Per-site Jurisdictions: storage + Magistrate. --- *)
-  let sites =
+  let jurisdictions =
     List.mapi
-      (fun i (name, sid, hosts, host_objs) ->
+      (fun i (name, _, hosts) ->
         let storage =
           Persistent.create
             ~disks:
@@ -340,50 +345,27 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
               ]
             ()
         in
-        Magistrate_part.register_storage name storage;
-        let mag_loid = fresh Well_known.legion_magistrate in
-        let agent_addr = agent_address_of_site i in
-        let state =
-          Magistrate_part.state_value ~hosts:(List.map fst host_objs)
-            ~jurisdiction:name ()
-        in
-        let opr =
-          Opr.make
-            ~states:[ (Magistrate_part.unit_name, state) ]
-            ~binding_agent:agent_addr ~kind:Well_known.kind_magistrate
-            ~units:[ Magistrate_part.unit_name; Well_known.unit_object ]
-            ()
-        in
-        (match Impl.activate rt ~host:(List.hd hosts) ~loid:mag_loid opr with
-        | Ok _ -> ()
-        | Error msg -> failwith ("bootstrap: magistrate: " ^ msg));
-        let agent_loid, _, agent_address = List.nth agents i in
+        ( storage,
+          start_magistrate t ~host:(List.hd hosts)
+            ~binding_agent:(agent_address_of_site i) ~storage ~name
+            ~hosts:(List.map fst (List.nth host_objs i)) ))
+      site_hosts
+  in
+  t.sites <-
+    List.mapi
+      (fun i (name, sid, hosts) ->
+        let storage, (magistrate, _) = List.nth jurisdictions i in
         {
           site_id = sid;
           site_name = name;
           net_hosts = hosts;
-          host_objects = List.map fst host_objs;
-          magistrate = mag_loid;
-          agent = agent_loid;
-          agent_address;
+          host_objects = List.map fst (List.nth host_objs i);
+          magistrate;
+          agent = Runtime.proc_loid (List.nth agents i);
+          agent_address = agent_address_of_site i;
           storage;
         })
-      sites_hosts_objs
-  in
-
-  let t =
-    {
-      sim;
-      net;
-      rt;
-      registry;
-      prng;
-      obs;
-      sites;
-      legion_class_binding;
-      next_ext = !next_ext;
-    }
-  in
+      site_hosts;
 
   (* --- Registration: the externally-started objects "contact their
      class" (§4.2.1), and classes learn where to place objects. --- *)
@@ -408,49 +390,40 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
             failures := Printf.sprintf "%s: %s" label (Err.to_string e) :: !failures)
   in
   let env = Env.of_self boot_client_loid in
-  let call dst meth args k =
-    Runtime.invoke ctx ~dst ~meth ~args ~env k
+  let register cls (loid, proc) =
+    Runtime.invoke ctx ~dst:cls ~meth:"RegisterInstance"
+      ~args:[ Loid.to_value loid; Address.to_value (Runtime.address_of proc) ]
+      ~env
   in
   (* Core classes register with LegionClass (they are its subclasses in
      the kind-of graph). *)
   List.iter
-    (fun (loid, proc) ->
+    (fun ((loid, _) as core) ->
       expect
         (Printf.sprintf "register core class %s" (Loid.to_string loid))
-        (call Well_known.legion_class "RegisterInstance"
-           [ Loid.to_value loid; Address.to_value (Runtime.address_of proc) ]))
+        (register Well_known.legion_class core))
     core_procs;
   (* Host objects, magistrates and agents register with their classes. *)
-  List.iter2
-    (fun s (_, _, _, host_objs) ->
+  List.iteri
+    (fun i s ->
       List.iter
-        (fun (loid, proc) ->
-          expect "register host object"
-            (call Well_known.legion_host "RegisterInstance"
-               [ Loid.to_value loid; Address.to_value (Runtime.address_of proc) ]))
-        host_objs;
+        (fun h ->
+          expect "register host object" (register Well_known.legion_host h))
+        (List.nth host_objs i);
       expect "register magistrate"
-        (fun k ->
-          match Runtime.find_proc rt s.magistrate with
-          | None -> k (Error (Err.Internal "magistrate proc missing"))
-          | Some proc ->
-              call Well_known.legion_magistrate "RegisterInstance"
-                [
-                  Loid.to_value s.magistrate;
-                  Address.to_value (Runtime.address_of proc);
-                ]
-                k);
+        (register Well_known.legion_magistrate (snd (List.nth jurisdictions i)));
       expect "register binding agent"
-        (call Well_known.legion_binding_agent "RegisterInstance"
-           [ Loid.to_value s.agent; Address.to_value s.agent_address ]))
-    sites sites_hosts_objs;
+        (register Well_known.legion_binding_agent (s.agent, List.nth agents i)))
+    t.sites;
   (* Default placement for new classes and instances: all magistrates. *)
   let defaults =
     Value.Record
       [ ("magistrates", Value.List (List.map Loid.to_value (magistrates t))) ]
   in
   List.iter
-    (fun (loid, _) -> expect "set defaults" (call loid "SetDefaults" [ defaults ]))
+    (fun (loid, _) ->
+      expect "set defaults"
+        (Runtime.invoke ctx ~dst:loid ~meth:"SetDefaults" ~args:[ defaults ] ~env))
     core_procs;
   Engine.run sim;
   (match !failures with
@@ -459,9 +432,20 @@ let boot ?(seed = 42L) ?latency ?rt_config ?agent_cache_capacity
   Runtime.kill rt boot_proc;
   t
 
-let grow_site t ~site:site_idx ?host_class ~n () =
+let client t ?(site = 0) () =
+  let s = List.nth t.sites site in
+  let loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
+  let proc =
+    Runtime.spawn t.rt
+      ~host:(List.hd s.net_hosts)
+      ~loid ~kind:Well_known.kind_client ~binding_agent:s.agent_address
+      ~handler:(fun _ _ k -> k (Error (Err.Refused "client object")))
+      ()
+  in
+  { Runtime.rt = t.rt; self = proc }
+
+let grow_site t ~site:site_idx ?(host_class = Well_known.legion_host) ~n () =
   let s = List.nth t.sites site_idx in
-  let host_class = Option.value ~default:Well_known.legion_host host_class in
   (* New simulated hosts join the site... *)
   let new_hosts =
     List.init n (fun i ->
@@ -471,30 +455,11 @@ let grow_site t ~site:site_idx ?host_class ~n () =
   (* ...each starts a Host Object "from the shell"... *)
   let host_objs =
     List.map
-      (fun h ->
-        let loid = fresh_instance_loid t ~of_class:host_class in
-        let opr =
-          Opr.make
-            ~states:[ (Host_part.unit_name, Host_part.state_value ()) ]
-            ~binding_agent:s.agent_address ~kind:Well_known.kind_host
-            ~units:[ Host_part.unit_name; Well_known.unit_object ]
-            ()
-        in
-        match Impl.activate t.rt ~host:h ~loid opr with
-        | Ok proc -> (loid, proc)
-        | Error msg -> failwith ("grow_site: host object: " ^ msg))
+      (start_host_object t ~cls:host_class ~binding_agent:s.agent_address)
       new_hosts
   in
   (* ...and contacts its class and the Jurisdiction's Magistrate. *)
-  let driver = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let proc =
-    Runtime.spawn t.rt
-      ~host:(List.hd s.net_hosts)
-      ~loid:driver ~kind:Well_known.kind_client ~binding_agent:s.agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "grow driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = proc } in
+  let ctx = client t ~site:site_idx () in
   let failures = ref [] in
   List.iter
     (fun (loid, hproc) ->
@@ -511,150 +476,95 @@ let grow_site t ~site:site_idx ?host_class ~n () =
           | Error e -> failures := Err.to_string e :: !failures))
     host_objs;
   Engine.run t.sim;
-  Runtime.kill t.rt proc;
+  Runtime.kill t.rt ctx.self;
   (match !failures with
   | [] -> ()
   | fs -> failwith ("grow_site: " ^ String.concat "; " fs));
   List.map fst host_objs
 
-let arrange_agent_tree t ~fanout =
-  if fanout <= 0 then invalid_arg "System.arrange_agent_tree: fanout";
-  let sites_arr = Array.of_list t.sites in
-  let n_sites = Array.length sites_arr in
-  let n_roots = (n_sites + fanout - 1) / fanout in
-  (* Spawn the root agents directly, like bootstrap does. *)
+let wire_agent_tree t ~fanout k =
+  if fanout <= 0 then invalid_arg "System.wire_agent_tree: fanout";
+  let sites = Array.of_list t.sites in
+  (* The root layer is minted before the driver. *)
   let roots =
-    List.init n_roots (fun i ->
-        let covered = sites_arr.(i * fanout) in
-        let loid = fresh_instance_loid t ~of_class:Well_known.legion_binding_agent in
-        let state =
-          Legion_binding.Agent_part.state_value
-            ~legion_class:t.legion_class_binding ()
-        in
-        let opr =
-          Opr.make
-            ~states:[ (Legion_binding.Agent_part.unit_name, state) ]
-            ~kind:Well_known.kind_binding_agent
-            ~units:[ Legion_binding.Agent_part.unit_name; Well_known.unit_object ]
-            ()
-        in
-        match
-          Impl.activate t.rt ~host:(List.hd covered.net_hosts) ~loid opr
-        with
-        | Ok proc -> proc
-        | Error msg -> failwith ("arrange_agent_tree: " ^ msg))
+    Array.init
+      ((Array.length sites + fanout - 1) / fanout)
+      (fun i -> start_agent t ~host:(List.hd sites.(i * fanout).net_hosts) ())
   in
-  (* Point every site agent at its root via SetParent. *)
-  let driver_loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let driver =
-    Runtime.spawn t.rt
-      ~host:(List.hd (List.hd t.sites).net_hosts)
-      ~loid:driver_loid ~kind:Well_known.kind_client
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "tree driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = driver } in
-  let failures = ref [] in
-  List.iteri
+  let ctx = client t () in
+  let pending = ref (Array.length sites) in
+  let refusals = ref [] in
+  Array.iteri
     (fun i s ->
-      let root = List.nth roots (i / fanout) in
       Runtime.invoke_address ctx ~address:s.agent_address
         ~dst:(Loid.make ~class_id:0L ~class_specific:0L ())
         ~meth:"SetParent"
-        ~args:[ Value.List [ Address.to_value (Runtime.address_of root) ] ]
-        ~env:(Env.of_self driver_loid)
+        ~args:
+          [ Value.List [ Address.to_value (Runtime.address_of roots.(i / fanout)) ] ]
+        ~env:(Env.of_self (Runtime.proc_loid ctx.self))
         (fun r ->
-          match r with
+          (match r with
           | Ok _ -> ()
-          | Error e -> failures := Err.to_string e :: !failures))
-    t.sites;
+          | Error e -> refusals := Err.to_string e :: !refusals);
+          decr pending;
+          if !pending = 0 then begin
+            Runtime.kill t.rt ctx.self;
+            k (List.rev !refusals)
+          end))
+    sites
+
+let arrange_agent_tree t ~fanout =
+  let refused = ref [] in
+  wire_agent_tree t ~fanout (fun fs -> refused := fs);
   Engine.run t.sim;
-  Runtime.kill t.rt driver;
-  match !failures with
+  match !refused with
   | [] -> ()
   | fs -> failwith ("arrange_agent_tree: " ^ String.concat "; " fs)
 
-let client t ?(site = 0) () =
+let start_jurisdiction t ~site ~name ~hosts =
   let s = List.nth t.sites site in
-  let loid = fresh_instance_loid t ~of_class:Legion_core.Well_known.legion_object in
-  let proc =
-    Runtime.spawn t.rt
-      ~host:(List.hd s.net_hosts)
-      ~loid ~kind:Legion_core.Well_known.kind_client
-      ~binding_agent:s.agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "client object")))
-      ()
-  in
-  { Runtime.rt = t.rt; self = proc }
+  start_magistrate t
+    ~host:(List.nth s.net_hosts (List.length s.net_hosts - 1))
+    ~binding_agent:s.agent_address ~storage:s.storage ~name ~hosts
 
 let split_jurisdiction t ~site:site_idx =
   let s = List.nth t.sites site_idx in
   (* The new Jurisdiction shares the site's storage (§2.2 non-disjoint
      storage): OPAs stay valid, so transfers move responsibility, not
      bytes. *)
-  let new_name = Printf.sprintf "%s.split%Ld" s.site_name t.next_ext in
-  Magistrate_part.register_storage new_name s.storage;
+  let name = Printf.sprintf "%s.split%Ld" s.site_name t.next_ext in
   let n_hosts = List.length s.host_objects in
-  let their_hosts =
-    List.filteri (fun i _ -> i >= n_hosts / 2) s.host_objects
+  let mag_loid, mag =
+    start_jurisdiction t ~site:site_idx ~name
+      ~hosts:(List.filteri (fun i _ -> i >= n_hosts / 2) s.host_objects)
   in
-  let mag_loid = fresh_instance_loid t ~of_class:Well_known.legion_magistrate in
-  let state =
-    Magistrate_part.state_value ~hosts:their_hosts ~jurisdiction:new_name ()
-  in
-  let opr =
-    Opr.make
-      ~states:[ (Magistrate_part.unit_name, state) ]
-      ~binding_agent:s.agent_address ~kind:Well_known.kind_magistrate
-      ~units:[ Magistrate_part.unit_name; Well_known.unit_object ]
-      ()
-  in
-  (match
-     Impl.activate t.rt ~host:(List.nth s.net_hosts (List.length s.net_hosts - 1))
-       ~loid:mag_loid opr
-   with
-  | Ok _ -> ()
-  | Error msg -> failwith ("split_jurisdiction: " ^ msg));
   (* Register the new magistrate and transfer half the objects. *)
-  let driver_loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let driver =
-    Runtime.spawn t.rt
-      ~host:(List.hd s.net_hosts)
-      ~loid:driver_loid ~kind:Well_known.kind_client
-      ~binding_agent:s.agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "split driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = driver } in
+  let ctx = client t ~site:site_idx () in
   let failure = ref None in
   let transferred = ref (-1) in
-  (match Runtime.find_proc t.rt mag_loid with
-  | None -> failwith "split_jurisdiction: magistrate did not start"
-  | Some proc ->
-      Runtime.invoke ctx ~dst:Well_known.legion_magistrate
-        ~meth:"RegisterInstance"
-        ~args:[ Loid.to_value mag_loid; Address.to_value (Runtime.address_of proc) ]
-        (fun r ->
-          match r with
-          | Error e -> failure := Some (Err.to_string e)
-          | Ok _ ->
-              (* Count, then transfer half. *)
-              Runtime.invoke ctx ~dst:s.magistrate ~meth:"ListObjects" ~args:[]
-                (fun r ->
-                  match r with
-                  | Error e -> failure := Some (Err.to_string e)
-                  | Ok (Value.List objs) ->
-                      let half = (List.length objs + 1) / 2 in
-                      Runtime.invoke ctx ~dst:s.magistrate ~meth:"TransferObjects"
-                        ~args:[ Loid.to_value mag_loid; Value.Int half ]
-                        (fun r ->
-                          match r with
-                          | Ok (Value.Int n) -> transferred := n
-                          | Ok _ -> failure := Some "bad TransferObjects reply"
-                          | Error e -> failure := Some (Err.to_string e))
-                  | Ok _ -> failure := Some "bad ListObjects reply")));
+  Runtime.invoke ctx ~dst:Well_known.legion_magistrate ~meth:"RegisterInstance"
+    ~args:[ Loid.to_value mag_loid; Address.to_value (Runtime.address_of mag) ]
+    (fun r ->
+      match r with
+      | Error e -> failure := Some (Err.to_string e)
+      | Ok _ ->
+          (* Count, then transfer half. *)
+          Runtime.invoke ctx ~dst:s.magistrate ~meth:"ListObjects" ~args:[]
+            (fun r ->
+              match r with
+              | Error e -> failure := Some (Err.to_string e)
+              | Ok (Value.List objs) ->
+                  let half = (List.length objs + 1) / 2 in
+                  Runtime.invoke ctx ~dst:s.magistrate ~meth:"TransferObjects"
+                    ~args:[ Loid.to_value mag_loid; Value.Int half ]
+                    (fun r ->
+                      match r with
+                      | Ok (Value.Int n) -> transferred := n
+                      | Ok _ -> failure := Some "bad TransferObjects reply"
+                      | Error e -> failure := Some (Err.to_string e))
+              | Ok _ -> failure := Some "bad ListObjects reply"));
   Engine.run t.sim;
-  Runtime.kill t.rt driver;
+  Runtime.kill t.rt ctx.self;
   (match !failure with
   | Some msg -> failwith ("split_jurisdiction: " ^ msg)
   | None -> ());
@@ -662,16 +572,7 @@ let split_jurisdiction t ~site:site_idx =
   mag_loid
 
 let checkpoint_all t =
-  let driver_loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let driver =
-    Runtime.spawn t.rt
-      ~host:(List.hd (List.hd t.sites).net_hosts)
-      ~loid:driver_loid ~kind:Well_known.kind_client
-      ~binding_agent:(List.hd t.sites).agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "checkpoint driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = driver } in
+  let ctx = client t () in
   let swept = ref 0 in
   List.iter
     (fun s ->
@@ -683,21 +584,12 @@ let checkpoint_all t =
           | Ok _ | Error _ -> ()))
     t.sites;
   Engine.run t.sim;
-  Runtime.kill t.rt driver;
+  Runtime.kill t.rt ctx.self;
   !swept
 
 let enable_recovery t ?(checkpoint_period = 1.0) ?(heartbeat_period = 0.25)
     ?(threshold = 3) ~until () =
-  let driver_loid = fresh_instance_loid t ~of_class:Well_known.legion_object in
-  let driver =
-    Runtime.spawn t.rt
-      ~host:(List.hd (List.hd t.sites).net_hosts)
-      ~loid:driver_loid ~kind:Well_known.kind_client
-      ~binding_agent:(List.hd t.sites).agent_address
-      ~handler:(fun _ _ k -> k (Error (Err.Refused "recovery driver")))
-      ()
-  in
-  let ctx = { Runtime.rt = t.rt; self = driver } in
+  let ctx = client t () in
   let pending = ref 0 in
   let failure = ref None in
   let start meth args s =
@@ -724,7 +616,7 @@ let enable_recovery t ?(checkpoint_period = 1.0) ?(heartbeat_period = 0.25)
   while !pending > 0 && !budget > 0 && Engine.step t.sim do
     decr budget
   done;
-  Runtime.kill t.rt driver;
+  Runtime.kill t.rt ctx.self;
   (match !failure with
   | Some msg -> failwith ("enable_recovery: " ^ msg)
   | None -> ());

@@ -75,6 +75,20 @@ val fresh_instance_loid : t -> of_class:Loid.t -> Loid.t
     also used by tests). Draws from a high range ([2^32 + n]) so it
     never collides with class-allocated sequence numbers. *)
 
+val start_agent :
+  t ->
+  ?capacity:int ->
+  ?parent:Address.t ->
+  host:Legion_net.Network.host_id ->
+  unit ->
+  Runtime.proc
+(** Start a Binding Agent on [host] "from the shell" (§4.2.1), the one
+    way every agent is started: bootstrap's site agents, the root layer
+    of {!wire_agent_tree} and {!Agent_tree}'s nodes. Its LOID comes
+    from {!fresh_instance_loid}; it is seeded with the LegionClass
+    binding, forwards misses to [parent] if given, and caches at most
+    [capacity] bindings. @raise Failure if the activation fails. *)
+
 val grow_site :
   t -> site:int -> ?host_class:Loid.t -> n:int -> unit -> Loid.t list
 (** Expand a Jurisdiction at run time: add [n] simulated hosts to the
@@ -97,9 +111,26 @@ val arrange_agent_tree : t -> fanout:int -> unit
     layer). @raise Invalid_argument if [fanout <= 0]; @raise Failure if
     a root cannot be spawned or a SetParent is refused. *)
 
+val wire_agent_tree : t -> fanout:int -> (string list -> unit) -> unit
+(** The non-blocking half of {!arrange_agent_tree}, callable from inside
+    an engine callback: start the root layer, then one driver client
+    on site 0, and send [SetParent] to every site agent. When the last
+    reply lands the driver is killed and [k] receives the refusals
+    (empty when every agent accepted). @raise Invalid_argument if
+    [fanout <= 0]. *)
+
 val client : t -> ?site:int -> unit -> Runtime.ctx
 (** Spawn a client process (a minimal Legion object wired to the site's
     Binding Agent) and return its context for issuing invocations. *)
+
+val start_jurisdiction :
+  t -> site:int -> name:string -> hosts:Loid.t list -> Loid.t * Runtime.proc
+(** Start a new Magistrate "from the shell" on the site's last host for
+    a Jurisdiction called [name] over the Host Objects [hosts]. The
+    Jurisdiction shares the site's storage (§2.2 non-disjoint
+    Jurisdictions), registered under [name] first. The Magistrate is
+    not yet registered with LegionMagistrate; the caller does that.
+    @raise Failure if the activation fails. *)
 
 val split_jurisdiction : t -> site:int -> Loid.t
 (** §2.2: "if a Jurisdiction's resources impose a substantial load on

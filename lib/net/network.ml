@@ -94,12 +94,11 @@ type 'm t = {
   mutable delay_spikes : spike list;
   mutable partitions : (site_id * site_id) list;
   mutable tap : (src:host_id -> dst:host_id -> Value.t -> unit) option;
-  mutable host_watcher : (host_id -> up:bool -> unit) option;
   mutable watcher_seq : int;
   mutable host_watchers : (int * (host_id -> up:bool -> unit)) list;
   mutable partition_watchers :
     (int * (site_id -> site_id -> cut:bool -> unit)) list;
-  mutable obs : Recorder.t option;
+  obs : Recorder.t option;
   mutable sent : int;
   mutable bytes : int;
   mutable dropped : int;
@@ -204,7 +203,6 @@ let create ~sim ~prng ~codec ?(latency = default_latency) ?obs () =
     delay_spikes = [];
     partitions = [];
     tap = None;
-    host_watcher = None;
     watcher_seq = 0;
     host_watchers = [];
     partition_watchers = [];
@@ -292,11 +290,8 @@ let set_host_up t h up =
   let was = t.host_tbl.(h).up in
   t.host_tbl.(h).up <- up;
   if was <> up then begin
-    (match t.host_watcher with None -> () | Some f -> f h ~up);
     List.iter (fun (_, f) -> f h ~up) t.host_watchers
   end
-
-let set_host_watcher t f = t.host_watcher <- f
 
 let next_watcher_id t =
   t.watcher_seq <- t.watcher_seq + 1;
@@ -332,19 +327,13 @@ let set_drop_rate t r =
   check_rate "Network.set_drop_rate" r;
   t.drop_rate <- r
 
-let drop_rate t = t.drop_rate
-
 let set_duplicate_rate t r =
   check_rate "Network.set_duplicate_rate" r;
   t.duplicate_rate <- r
 
-let duplicate_rate t = t.duplicate_rate
-
 let set_corrupt_rate t r =
   check_rate "Network.set_corrupt_rate" r;
   t.corrupt_rate <- r
-
-let corrupt_rate t = t.corrupt_rate
 
 let set_reorder t ~rate ~window =
   check_rate "Network.set_reorder: rate" rate;
@@ -352,8 +341,6 @@ let set_reorder t ~rate ~window =
     invalid_arg "Network.set_reorder: window";
   t.reorder_rate <- rate;
   t.reorder_window <- window
-
-let reorder t = (t.reorder_rate, t.reorder_window)
 
 let set_delay_spike t ~a ~b ~factor ~until_ =
   if a < 0 || a >= t.n_sites || b < 0 || b >= t.n_sites then
@@ -414,8 +401,6 @@ let latency_between t a b =
   else t.latency.inter_site
 
 let set_tap t tap = t.tap <- tap
-let set_obs t obs = t.obs <- obs
-let obs t = t.obs
 
 (* Grab a pooled in-flight slot; returns its token. *)
 let alloc_delivery ?raw t ~src ~dst payload =

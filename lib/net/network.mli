@@ -87,17 +87,13 @@ val site_name : _ t -> site_id -> string
 val set_host_up : _ t -> host_id -> bool -> unit
 val host_is_up : _ t -> host_id -> bool
 
-val set_host_watcher : _ t -> (host_id -> up:bool -> unit) option -> unit
-(** Observe host up/down {e transitions} (calls that do not change the
-    state fire nothing). The runtime installs one to reap fenced zombie
-    placements when a crashed host reboots. [None] removes it. *)
-
 val add_host_watcher : _ t -> (host_id -> up:bool -> unit) -> watcher
-(** Append an additional transition watcher without disturbing the one
-    installed through {!set_host_watcher} (the runtime's zombie reaper).
-    The replica-set repair machinery uses this to notice replica hosts
-    going down and coming back. Watchers fire in registration order;
-    deregister with {!remove_watcher}. *)
+(** Observe host up/down {e transitions} (calls that do not change the
+    state fire nothing). The runtime registers its zombie reaper here at
+    creation, so it fires before any later watcher — such as the
+    replica-set repair machinery noticing replica hosts going down and
+    coming back. Watchers fire in registration order; deregister with
+    {!remove_watcher}. *)
 
 val remove_watcher : _ t -> watcher -> unit
 (** Deregister a watcher added with {!add_host_watcher} or
@@ -107,15 +103,12 @@ val remove_watcher : _ t -> watcher -> unit
     closures that keep firing against dead state. *)
 
 val watcher_count : _ t -> int
-(** Currently registered removable watchers (host + partition), for
-    leak regression tests. *)
+(** Currently registered watchers (host + partition; a runtime's
+    zombie reaper counts as one), for leak regression tests. *)
 
 val set_drop_rate : _ t -> float -> unit
 (** Fraction of messages lost uniformly at random; default [0.].
     @raise Invalid_argument on NaN or a value outside [0,1]. *)
-
-val drop_rate : _ t -> float
-(** The currently configured uniform loss fraction. *)
 
 (** {2 Adversarial faults}
 
@@ -133,8 +126,6 @@ val set_duplicate_rate : _ t -> float -> unit
     makes the network itself produce them.
     @raise Invalid_argument on NaN or a value outside [0,1]. *)
 
-val duplicate_rate : _ t -> float
-
 val set_reorder : _ t -> rate:float -> window:float -> unit
 (** With probability [rate], hold a transmission back by an extra
     uniform draw from [0, window) seconds beyond its modelled latency —
@@ -142,9 +133,6 @@ val set_reorder : _ t -> rate:float -> window:float -> unit
     of [0.] or a [window] of [0.] disables it.
     @raise Invalid_argument on a NaN/out-of-range rate or a negative or
     non-finite window. *)
-
-val reorder : _ t -> float * float
-(** The configured (rate, window). *)
 
 val set_corrupt_rate : _ t -> float -> unit
 (** Probability that a transmitted message's payload is serialised
@@ -155,8 +143,6 @@ val set_corrupt_rate : _ t -> float -> unit
     fail-closed drop ([Drop] with reason [Corrupted]) — never an
     exception, never a garbled delivery.
     @raise Invalid_argument on NaN or a value outside [0,1]. *)
-
-val corrupt_rate : _ t -> float
 
 val set_delay_spike :
   _ t -> a:site_id -> b:site_id -> factor:float -> until_:float -> unit
@@ -202,11 +188,6 @@ val set_tap : _ t -> (src:host_id -> dst:host_id -> Legion_wire.Value.t -> unit)
     protocol debugging and test instrumentation. The observer sees the
     payload's edge encoding ([codec.to_value]), which is built only
     while a tap is installed. [None] removes it. *)
-
-val set_obs : _ t -> Legion_obs.Recorder.t option -> unit
-(** Attach or detach the structured-event recorder after creation. *)
-
-val obs : _ t -> Legion_obs.Recorder.t option
 
 val latency_between : _ t -> host_id -> host_id -> float
 (** Mean one-way latency (jitter excluded). *)

@@ -16,22 +16,19 @@ type t = {
   mutable sites : int array;
   mutable kinds : Event.kind array;
   mutable total : int;
-  mutable enabled : bool;
-  lat_buckets : float array;
   lat : (string, Ustats.Histogram.h) Hashtbl.t;
 }
 
 (* Log-spaced 10µs .. 10s: spans the network's three latency tiers
    (5µs/0.5ms/40ms one-way) through multi-hop resolution chains. *)
-let default_latency_buckets =
+let latency_buckets =
   [| 1e-5; 3e-5; 1e-4; 3e-4; 1e-3; 3e-3; 1e-2; 3e-2; 0.1; 0.3; 1.0; 3.0; 10.0 |]
 
 (* Fills the kind slots that hold no event, so a cleared ring keeps no
    old kind alive. *)
 let vacant = Event.Timeout { id = -1 }
 
-let create ?(capacity = 65536) ?(latency_buckets = default_latency_buckets)
-    ~clock () =
+let create ?(capacity = 65536) ~clock () =
   if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
   let n = Stdlib.min capacity 1024 in
   {
@@ -42,8 +39,6 @@ let create ?(capacity = 65536) ?(latency_buckets = default_latency_buckets)
     sites = Array.make n (-1);
     kinds = Array.make n vacant;
     total = 0;
-    enabled = true;
-    lat_buckets = Array.copy latency_buckets;
     lat = Hashtbl.create 16;
   }
 
@@ -58,15 +53,13 @@ let grow t =
   t.kinds <- Array.append t.kinds (Array.make more vacant)
 
 let emit_at t ~host ~site kind =
-  if t.enabled then begin
-    let i = t.total mod t.capacity in
-    if i = Array.length t.kinds then grow t;
-    Float.Array.set t.times i (t.clock ());
-    t.hosts.(i) <- host;
-    t.sites.(i) <- site;
-    t.kinds.(i) <- kind;
-    t.total <- t.total + 1
-  end
+  let i = t.total mod t.capacity in
+  if i = Array.length t.kinds then grow t;
+  Float.Array.set t.times i (t.clock ());
+  t.hosts.(i) <- host;
+  t.sites.(i) <- site;
+  t.kinds.(i) <- kind;
+  t.total <- t.total + 1
 
 let emit t ?host ?site kind =
   let id = function Some i -> i | None -> -1 in
@@ -98,15 +91,12 @@ let clear t =
   Array.fill t.kinds 0 (Array.length t.kinds) vacant;
   t.total <- 0
 
-let set_enabled t b = t.enabled <- b
-let enabled t = t.enabled
-
 let observe t ~component x =
   let h =
     match Hashtbl.find_opt t.lat component with
     | Some h -> h
     | None ->
-        let h = Ustats.Histogram.create ~buckets:t.lat_buckets in
+        let h = Ustats.Histogram.create ~buckets:latency_buckets in
         Hashtbl.add t.lat component h;
         h
   in

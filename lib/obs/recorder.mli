@@ -8,22 +8,15 @@
 
 type t
 
-val create :
-  ?capacity:int ->
-  ?latency_buckets:float array ->
-  clock:(unit -> float) ->
-  unit ->
-  t
-(** [capacity] (default 65536) bounds retained events.
-    [latency_buckets] are the {!Legion_util.Stats.Histogram} upper
-    bounds used for every component histogram (default: log-spaced
-    10µs…10s, sized for the simulated network's three latency tiers).
-    [clock] supplies virtual time (pass [fun () -> Engine.now sim]).
+val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
+(** [capacity] (default 65536) bounds retained events. Every component
+    histogram has the same log-spaced 10µs…10s buckets, sized for the
+    simulated network's three latency tiers. [clock] supplies virtual
+    time (pass [fun () -> Engine.now sim]).
     @raise Invalid_argument when [capacity <= 0]. *)
 
 val emit : t -> ?host:int -> ?site:int -> Event.kind -> unit
-(** Stamp the kind with the clock and append it; a no-op while
-    disabled. Amortised O(1): the ring allocates only when it doubles
+(** Stamp the kind with the clock and append it. Amortised O(1): the ring allocates only when it doubles
     on its way to [capacity], never per event. [host] and [site] are
     the network's ids, which are never negative. *)
 
@@ -52,9 +45,6 @@ val overwritten : t -> int
 
 val clear : t -> unit
 (** Forget all events (histograms are kept). *)
-
-val set_enabled : t -> bool -> unit
-val enabled : t -> bool
 
 (** {1 Latency histograms} *)
 

@@ -65,7 +65,6 @@ let find p evs = List.find_opt p evs
 
 let any _ = true
 let named n e = String.equal (Event.name e.Event.kind) n
-let on_host h e = e.Event.host = Some h
 let ( &&& ) p q e = p e && q e
 let ( ||| ) p q e = p e || q e
 let not_ p e = not (p e)
@@ -107,17 +106,6 @@ let duplicate ?src ?dst () e =
 let reorder ?src ?dst () e =
   match e.Event.kind with
   | Event.Reorder f -> opt_int src f.src && opt_int dst f.dst
-  | _ -> false
-
-let corrupt_inject ?src ?dst () e =
-  match e.Event.kind with
-  | Event.Corrupt_inject f -> opt_int src f.src && opt_int dst f.dst
-  | _ -> false
-
-let dedup_hit ?loid ?id ?meth () e =
-  match e.Event.kind with
-  | Event.Dedup_hit f ->
-      opt_loid loid f.loid && opt_int id f.id && opt_str meth f.meth
   | _ -> false
 
 let call ?src ?dst ?meth () e =
@@ -294,12 +282,6 @@ let merge ?cls ?clone () e =
 let split ?magistrate ?dst () e =
   match e.Event.kind with
   | Event.Split f -> opt_loid magistrate f.magistrate && opt_loid dst f.dst
-  | _ -> false
-
-let probe_fail ?agent ?host_obj () e =
-  match e.Event.kind with
-  | Event.Probe_fail f ->
-      opt_loid agent f.agent && opt_loid host_obj f.host_obj
   | _ -> false
 
 let prepare ?txn ?participant () e =

@@ -67,8 +67,6 @@ val any : pred
 val named : string -> pred
 (** Match by {!Event.name} (["Send"], ["CacheMiss"], …). *)
 
-val on_host : int -> pred
-
 val ( &&& ) : pred -> pred -> pred
 val ( ||| ) : pred -> pred -> pred
 val not_ : pred -> pred
@@ -78,8 +76,6 @@ val deliver : ?src:int -> ?dst:int -> unit -> pred
 val drop : ?src:int -> ?dst:int -> ?reason:Event.drop_reason -> unit -> pred
 val duplicate : ?src:int -> ?dst:int -> unit -> pred
 val reorder : ?src:int -> ?dst:int -> unit -> pred
-val corrupt_inject : ?src:int -> ?dst:int -> unit -> pred
-val dedup_hit : ?loid:Loid.t -> ?id:int -> ?meth:string -> unit -> pred
 val call : ?src:Loid.t -> ?dst:Loid.t -> ?meth:string -> unit -> pred
 val reply : ?ok:bool -> unit -> pred
 val timeout : unit -> pred
@@ -121,7 +117,6 @@ val clone_ev : ?cls:Loid.t -> ?clone:Loid.t -> unit -> pred
 
 val merge : ?cls:Loid.t -> ?clone:Loid.t -> unit -> pred
 val split : ?magistrate:Loid.t -> ?dst:Loid.t -> unit -> pred
-val probe_fail : ?agent:Loid.t -> ?host_obj:Loid.t -> unit -> pred
 val prepare : ?txn:string -> ?participant:Loid.t -> unit -> pred
 val txn_commit : ?txn:string -> unit -> pred
 val txn_abort : ?txn:string -> ?reason:string -> unit -> pred

@@ -300,8 +300,8 @@ let create ~sim ~net ~registry ~prng ?(config = default_config) ?obs () =
       caller_stamp = 0;
     }
   in
-  Network.set_host_watcher net
-    (Some (fun h ~up -> if up then reap_rebooted rt h));
+  ignore
+    (Network.add_host_watcher net (fun h ~up -> if up then reap_rebooted rt h));
   rt
 
 let sim rt = rt.sim
@@ -578,11 +578,6 @@ let admit_call rt proc call reply_to =
 let set_tenants rt reg = rt.tenants <- reg
 let tenants rt = rt.tenants
 
-let tenant_label rt env =
-  match rt.tenants with
-  | None -> Tenant.fallback_name
-  | Some reg -> Tenant.name (Tenant.of_env reg env)
-
 (* Parts that gate expensive methods by tenant budget (a class charging
    Create) use the same bucket, shed accounting and error shape as the
    admission layer. Free when no registry is armed. *)
@@ -598,16 +593,13 @@ let charge_quota rt proc ~meth ~env =
           (quota_error rt proc tn ~meth
              ~retry_after:(Tenant.retry_hint tn ~now:nowt))
 
-(* A policy rejection: count it against the caller's tenant and emit
-   the tenant-tagged [Deny]. Returns the judged tenant's name. *)
+(* A policy rejection: emit the [Deny] tagged with the caller's
+   tenant. Returns the judged tenant's name. *)
 let note_deny rt proc ~meth ~env =
   let tenant =
     match rt.tenants with
     | None -> Tenant.fallback_name
-    | Some reg ->
-        let tn = Tenant.of_env reg env in
-        Tenant.note_denied tn;
-        Tenant.name tn
+    | Some reg -> Tenant.name (Tenant.of_env reg env)
   in
   emit rt ~host:proc.host (Event.Deny { loid = proc.loid; meth; tenant });
   tenant
@@ -1181,17 +1173,6 @@ let invoke ctx ?timeout ?max_rebinds ~dst ~meth ~args ?env k =
 (* ------------------------------------------------------------------ *)
 (* Tracing.                                                            *)
 
-let describe_message v =
-  match Msg.of_value v with
-  | Some (Msg.Call { id; src_loid; dst_loid; call; _ }) ->
-      Some
-        (Printf.sprintf "call#%d %s -> %s.%s/%d" id (Loid.to_string src_loid)
-           (Loid.to_string dst_loid) call.meth (List.length call.args))
-  | Some (Msg.Reply { id; reply = Ok _ }) -> Some (Printf.sprintf "reply#%d ok" id)
-  | Some (Msg.Reply { id; reply = Error e }) ->
-      Some (Printf.sprintf "reply#%d error: %s" id (Err.to_string e))
-  | None -> None
-
 (* ------------------------------------------------------------------ *)
 (* Accounting.                                                         *)
 
@@ -1199,8 +1180,6 @@ let total_calls_delivered rt = rt.delivered
 let total_sheds rt = rt.sheds
 let dedup_hits rt = rt.dedup_hits
 
-let dedup_stats rt =
-  Option.map (fun c -> (Dedup.length c, Dedup.evictions c)) rt.dedup
 let requests_of p = Counter.value p.counter
 (* Most recently calling site first, as a move-to-front list would keep
    them: [Sched_part.dominant_site] breaks ties by this order. *)

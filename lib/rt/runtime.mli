@@ -309,10 +309,6 @@ val shed_reply : t -> proc -> meth:string -> Err.t
 val set_tenants : t -> Tenant.t option -> unit
 val tenants : t -> Tenant.t option
 
-val tenant_label : t -> Env.t -> string
-(** The tenant name the registry attributes the environment to
-    ({!Tenant.fallback_name} when unregistered or no registry). *)
-
 val charge_quota : t -> proc -> meth:string -> env:Env.t -> (unit, Err.t) result
 (** Charge one call against the caller's tenant rate budget from inside
     a handler — for parts gating expensive methods (a class charging
@@ -410,13 +406,6 @@ val invoke_binding :
   unit
 (** [invoke_address] on the binding's address and LOID. *)
 
-(** {1 Tracing} *)
-
-val describe_message : Value.t -> string option
-(** Render a wire message (as seen by a {!Legion_net.Network.set_tap}
-    observer) as a one-line human-readable protocol event: the Fig. 17
-    sequences become visible. [None] for non-runtime payloads. *)
-
 (** {1 Accounting} *)
 
 val total_calls_delivered : t -> int
@@ -427,10 +416,6 @@ val total_sheds : t -> int
 val dedup_hits : t -> int
 (** Duplicate call deliveries absorbed or replayed by the exactly-once
     cache ([0] when [dedup_capacity] is [None]). *)
-
-val dedup_stats : t -> (int * int) option
-(** (live entries, LRU evictions) of the dedup cache; [None] when
-    disabled. *)
 
 val requests_of : proc -> int
 (** Method calls delivered to this instance. *)

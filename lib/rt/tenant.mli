@@ -66,7 +66,6 @@ val budget : tenant -> budget
 val inflight : tenant -> int
 val admitted : tenant -> int
 val shed_count : tenant -> int
-val denied_count : tenant -> int
 
 (** {1 Budget mechanics} — called by the runtime's admission path and by
     parts that shed by policy (a class charging [Create]). *)
@@ -87,4 +86,3 @@ val begin_call : tenant -> unit
 
 val end_call : tenant -> unit
 val note_shed : tenant -> unit
-val note_denied : tenant -> unit

@@ -65,7 +65,6 @@ let encode v =
   encode_into buf v;
   Buffer.contents buf
 
-let encoded_size v = Value.size_bytes v
 
 exception Malformed of string
 

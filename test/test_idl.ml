@@ -324,6 +324,35 @@ let test_mpl_rejects () =
       "mentat class A { /* unterminated";
     ]
 
+(* The two front-ends share one lexer: the same lexical fault is
+   reported at the same place by both, each still rejects the other's
+   punctuation where its grammar has no room for it, and both skip
+   block comments. *)
+let test_shared_lexer () =
+  let pos = function
+    | Ok _ -> Alcotest.fail "should not parse"
+    | Error (e : Parser.error) -> (e.line, e.col)
+  in
+  let at = Alcotest.(pair int int) in
+  Alcotest.check at "idl: '@' on line 2" (2, 3)
+    (pos (Parser.interface "interface A {\n  @ M();\n}"));
+  Alcotest.check at "mpl: '@' on line 2" (2, 3)
+    (pos (Mpl.interface "mentat class A {\n  @ void M();\n}"));
+  Alcotest.check at "idl rejects '*' where it stands" (2, 11)
+    (pos (Parser.interface "interface A {\n  M(x: int*);\n}"));
+  Alcotest.check at "mpl rejects ':' where it stands" (1, 28)
+    (pos (Mpl.interface "mentat class A { void M(int: x); }"));
+  (match Mpl.interface "mentat class A { /* a\n block */ void M(); }" with
+  | Ok i ->
+      Alcotest.(check (list string)) "mpl block comment" [ "M" ]
+        (Interface.method_names i)
+  | Error e -> Alcotest.failf "mpl: %s" (Format.asprintf "%a" Mpl.pp_error e));
+  match Parser.interface "interface A { /* a\n block */ M(); }" with
+  | Ok i ->
+      Alcotest.(check (list string)) "idl block comment" [ "M" ]
+        (Interface.method_names i)
+  | Error e -> Alcotest.failf "idl: %s" (Format.asprintf "%a" Parser.pp_error e)
+
 let test_mpl_equivalent_to_idl () =
   (* The two front-ends produce identical interfaces for equivalent
      declarations. *)
@@ -365,6 +394,7 @@ let () =
           Alcotest.test_case "multiple classes" `Quick test_mpl_file_multiple;
           Alcotest.test_case "rejects malformed input" `Quick test_mpl_rejects;
           Alcotest.test_case "front-ends agree" `Quick test_mpl_equivalent_to_idl;
+          Alcotest.test_case "one lexer for both" `Quick test_shared_lexer;
         ] );
       ( "parser",
         [

@@ -130,37 +130,9 @@ let test_breaker_saturated_rejections () =
 (* --- a serial-service unit: deferred replies make budgets visible --- *)
 
 let slow_unit = "test.slow_counter"
-let slow_service = 0.2
-
-let slow_factory (ctx : Runtime.ctx) : Impl.part =
-  let eng = Runtime.sim ctx.Runtime.rt in
-  let n = ref 0 in
-  let busy_until = ref 0.0 in
-  let serve k reply =
-    let start = Float.max (Engine.now eng) !busy_until in
-    busy_until := start +. slow_service;
-    ignore (Engine.schedule_at eng ~time:!busy_until (fun () -> k reply))
-  in
-  let increment _ctx args _env k =
-    match args with
-    | [ Value.Int d ] ->
-        n := !n + d;
-        serve k (Ok (Value.Int !n))
-    | _ -> Impl.bad_args k "Increment expects one int"
-  in
-  Impl.part
-    ~methods:[ ("Increment", increment) ]
-    ~save:(fun () -> Value.Int !n)
-    ~restore:(fun v ->
-      match v with
-      | Value.Int i ->
-          n := i;
-          Ok ()
-      | _ -> Error "bad state")
-    slow_unit
 
 let boot_slow ?rt_config () =
-  Impl.register slow_unit slow_factory;
+  Impl.register slow_unit (Legion.Fixture.slow_counter ~service:0.2 slow_unit);
   let sys = boot_two_sites ~seed ?rt_config () in
   let ctx = System.client sys () in
   let cls =

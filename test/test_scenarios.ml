@@ -1,5 +1,5 @@
 (* The shared scenarios (Legion.Recover / Overload / Replicate / Atomic /
-   Tenants) and the E20 audit: each scenario is deterministic per seed
+   Tenants / Elastic) and the E20 audit: each scenario is deterministic per seed
    at a reduced configuration with every gate holding, and each gate
    function rejects a hand-edited report by naming the failing gate. *)
 
@@ -12,6 +12,7 @@ module Overload = Legion.Overload
 module Replicate = Legion.Replicate
 module Atomic = Legion.Atomic
 module Tenants = Legion.Tenants
+module Elastic = Legion.Elastic
 
 let failed gates =
   List.filter_map (fun (n, ok) -> if ok then None else Some n) gates
@@ -103,6 +104,14 @@ let test_tenants () =
     ]
     (failed (Tenants.gates edited))
 
+(* `legion-sim elastic --json` (captured by the test/dune rule) prints
+   exactly the library's report for the default seed. *)
+let test_elastic_cli () =
+  Alcotest.(check string) "legion-sim elastic --json"
+    (Elastic.scenario_json (Elastic.run_scenario ~seed:42L ~elastic:true ())
+    ^ "\n")
+    (In_channel.with_open_bin "elastic_cli.json" In_channel.input_all)
+
 let test_audit_staged () =
   let store = Persistent.create ~disks:[ Disk.create ~name:"d0" ] () in
   let loid = Loid.make ~class_id:77L ~class_specific:1L () in
@@ -147,6 +156,7 @@ let () =
           Alcotest.test_case "replicate" `Quick test_replicate;
           Alcotest.test_case "atomic" `Quick test_atomic;
           Alcotest.test_case "tenants" `Quick test_tenants;
+          Alcotest.test_case "elastic cli" `Quick test_elastic_cli;
         ] );
       ("audit", [ Alcotest.test_case "staged residue" `Quick test_audit_staged ]);
     ]

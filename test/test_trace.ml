@@ -238,10 +238,6 @@ let test_recorder_ring () =
     (List.length (Recorder.events_since r 8));
   Alcotest.(check int) "events_since a forgotten mark" 4
     (List.length (Recorder.events_since r 2));
-  Recorder.set_enabled r false;
-  Recorder.emit r (Event.Timeout { id = 11 });
-  Alcotest.(check int) "disabled drops emissions" 10 (Recorder.total r);
-  Recorder.set_enabled r true;
   Recorder.clear r;
   Alcotest.(check int) "clear empties the ring" 0
     (List.length (Recorder.events r));
@@ -250,7 +246,7 @@ let test_recorder_ring () =
       ignore (Recorder.create ~capacity:0 ~clock:(fun () -> 0.0) ()))
 
 (* The ring against a plain list: any interleaving of emits (with and
-   without a host or site), clears, marks, enable toggles, growth and
+   without a host or site), clears, marks, growth and
    wraps reads back exactly what a list of every event since the last
    clear would give, including which host and site were absent. The
    larger capacities make the ring grow past its initial 1,024 slots
@@ -260,7 +256,6 @@ type rec_op =
   | Burst of int  (* that many emits, host and site from the count *)
   | Clear
   | Mark
-  | Toggle
 
 let rec_op_print = function
   | Emit (h, s) ->
@@ -269,7 +264,6 @@ let rec_op_print = function
   | Burst k -> Printf.sprintf "burst(%d)" k
   | Clear -> "clear"
   | Mark -> "mark"
-  | Toggle -> "toggle"
 
 let recorder_matches_list_model =
   let id = QCheck.Gen.(opt ~ratio:0.7 (0 -- 9)) in
@@ -281,7 +275,6 @@ let recorder_matches_list_model =
           (1, map (fun k -> Burst k) (100 -- 700));
           (1, return Clear);
           (2, return Mark);
-          (1, return Toggle);
         ])
   in
   let capacity = QCheck.Gen.(oneof [ 1 -- 8; 1000 -- 2500 ]) in
@@ -296,7 +289,7 @@ let recorder_matches_list_model =
       let clock = ref 0.0 in
       let r = Recorder.create ~capacity ~clock:(fun () -> !clock) () in
       (* Model: every event since the last clear, newest first. *)
-      let log = ref [] and on = ref true and marks = ref [] and n = ref 0 in
+      let log = ref [] and marks = ref [] and n = ref 0 in
       let rec take k = function
         | x :: rest when k > 0 -> x :: take (k - 1) rest
         | _ -> []
@@ -318,7 +311,7 @@ let recorder_matches_list_model =
         clock := float_of_int !n /. 8.0;
         let kind = Event.Timeout { id = !n } in
         Recorder.emit r ?host ?site kind;
-        if !on then log := { Event.time = !clock; host; site; kind } :: !log
+        log := { Event.time = !clock; host; site; kind } :: !log
       in
       List.for_all
         (fun op ->
@@ -334,10 +327,7 @@ let recorder_matches_list_model =
               Recorder.clear r;
               log := [];
               marks := []
-          | Mark -> marks := Recorder.total r :: !marks
-          | Toggle ->
-              on := not !on;
-              Recorder.set_enabled r !on);
+          | Mark -> marks := Recorder.total r :: !marks);
           agrees ())
         ops)
 
